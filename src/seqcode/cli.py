@@ -31,9 +31,18 @@ class _UsageError(Exception):
 
 
 def _parse_natural(text: str, what: str) -> int:
-    if not text.isascii() or not text.isdigit():
-        raise _UsageError(f"{what} must be a nonnegative decimal integer, got {text!r}")
-    return parse_decimal(text)
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise _UsageError(f"{what} must be a nonnegative decimal integer, got {text!r}") from None
+
+
+def _count(text: str) -> int:
+    """argparse type for counts: a nonnegative decimal integer."""
+    try:
+        return parse_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}") from None
 
 
 def _print(obj) -> None:
@@ -206,7 +215,7 @@ def _cmd_demo(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="base seed for sampled checks")
-    common.add_argument("--samples", type=int, default=1000,
+    common.add_argument("--samples", type=_count, default=1000,
                         help="random samples per checked statement")
     common.add_argument("--json", action="store_true", help="machine-readable output")
 

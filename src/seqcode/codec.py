@@ -14,6 +14,7 @@ total.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -34,18 +35,10 @@ def _natural(n: int, what: str) -> int:
 def isqrt(n: int) -> int:
     """Floor square root: the unique s with s*s <= n < (s+1)*(s+1).
 
-    Newton iteration on integers only; never goes anywhere near floats, so
-    it is exact for naturals of any size.
+    ``math.isqrt`` works on integers only and never touches floats, so it
+    is exact for naturals of any size.  Raises ValueError for n < 0.
     """
-    _natural(n, "n")
-    if n == 0:
-        return 0
-    s = 1 << ((n.bit_length() + 1) // 2)  # s >= sqrt(n), so the iteration descends
-    while True:
-        t = (s + n // s) // 2
-        if t >= s:
-            return s
-        s = t
+    return math.isqrt(_natural(n, "n"))
 
 
 def pair(x: int, y: int) -> int:
@@ -109,15 +102,16 @@ class SeqHandle:
     len: int
     w: int
 
+    def __post_init__(self):
+        _natural(self.len, "len")
+        _natural(self.w, "w")
+
     def to_json(self) -> dict[str, str]:
         return {"len": decimal_str(self.len), "w": decimal_str(self.w)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "SeqHandle":
-        return cls(
-            _natural(parse_decimal(obj["len"]), "len"),
-            _natural(parse_decimal(obj["w"]), "w"),
-        )
+        return cls(parse_decimal(obj["len"]), parse_decimal(obj["w"]))
 
 
 def seq_empty() -> SeqHandle:
@@ -128,15 +122,22 @@ def seq_empty() -> SeqHandle:
 def seq_append(s: SeqHandle, x: int) -> SeqHandle:
     """Append x after position s.len - 1 without disturbing earlier entries.
 
-    The code is first normalized to pairing shape, then rebased: the new
-    modulus base v1 is the least positive multiple of lcm(1..k+1) that is
-    at least max(v0, x).  Divisibility by every position gap keeps the
-    moduli pairwise coprime, and v1 >= x makes x a legal remainder at the
-    new position.
+    The code is unpaired once into (u0, v0); an empty handle or a non-code
+    starts from (0, 0), i.e. code 0, which decodes to all zeros just as
+    ``beta_total`` reads a non-code.  Then it is rebased: the new modulus
+    base v1 is the least positive multiple of lcm(1..k+1) that is at least
+    max(v0, x).  Divisibility by every position gap keeps the moduli
+    pairwise coprime, and v1 >= x makes x a legal remainder at the new
+    position.
     """
     _natural(x, "x")
     k = s.len
-    u0, v0 = unpair(normalize(s.w, k))
+    u0, v0 = 0, 0
+    if k:
+        try:
+            u0, v0 = unpair(s.w)
+        except NotAPairCode:
+            pass
     step = lcm_upto(k + 1)
     v1 = ((max(v0, x, 1) + step - 1) // step) * step
     u1 = recode_extend(u0, v0, v1, x, k)
@@ -160,20 +161,15 @@ def normalize(w: int, k: int) -> int:
     """A pair code whose first k plain entries equal beta_total(w, .).
 
     Pair codes already decode identically under ``beta`` and ``beta_total``
-    and are returned unchanged.  Anything else is rebuilt entry by entry
-    (which, for a non-code, re-encodes k zeros).  k = 0 always yields the
+    and are returned unchanged.  A non-code reads as all zeros, and so does
+    code 0 = pair(0, 0), which is returned instead.  k = 0 always yields the
     canonical empty code 0.
     """
     _natural(w, "w")
     _natural(k, "k")
     if k == 0:
         return 0
-    if is_pair_code(w):
-        return w
-    rebuilt = seq_empty()
-    for i in range(k):
-        rebuilt = seq_append(rebuilt, beta_total(w, i))
-    return rebuilt.w
+    return w if is_pair_code(w) else 0
 
 
 def verify_seq_step(w: int, k: int, x: int, w_new: int) -> bool:

@@ -1,9 +1,9 @@
 """Polynomials with nonnegative integer coefficients, ordered lexicographically.
 
 Coefficients are stored lowest degree first with no trailing zeros; the
-zero polynomial is the empty tuple.  Comparison pads both coefficient
-lists and reads them from the highest position down, so degree dominates
-and ties fall through to lower coefficients.
+zero polynomial is the empty tuple.  Comparison looks at the length of
+the coefficient lists first and then reads them from the highest position
+down, so degree dominates and ties fall through to lower coefficients.
 
 Under this order the carrier is a discretely ordered commutative semiring
 with least element 0, but one without subtraction: 1 < X, yet z + 1 = X
@@ -46,10 +46,8 @@ class PolyNat:
     def __lt__(self, other):
         if not isinstance(other, PolyNat):
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        mine = tuple(self.coefficient(i) for i in reversed(range(n)))
-        theirs = tuple(other.coefficient(i) for i in reversed(range(n)))
-        return mine < theirs
+        # no trailing zeros, so the longer list has the higher degree
+        return (len(self.coeffs), self.coeffs[::-1]) < (len(other.coeffs), other.coeffs[::-1])
 
     def __add__(self, other):
         n = max(len(self.coeffs), len(other.coeffs))

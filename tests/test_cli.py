@@ -4,7 +4,9 @@ import json
 import subprocess
 import sys
 
-from seqcode import codec, witness
+import pytest
+
+from seqcode import cli, codec, witness
 
 
 def run_cli(*args, stdin=None):
@@ -62,6 +64,22 @@ def test_codes_beyond_the_default_int_str_cap_roundtrip():
     assert json.loads(back.stdout) == entries
 
 
+def test_encode_leaves_the_int_str_cap_unchanged(capsys):
+    cap = sys.get_int_max_str_digits()
+    assert cli.main(["encode", *(str(2**64 - 1 - i) for i in range(12))]) == 0
+    assert sys.get_int_max_str_digits() == cap
+    w = json.loads(capsys.readouterr().out)["w"]
+    assert len(w) > 4300
+
+
+def test_wire_format_is_pinned(capsys):
+    # golden outputs: any difference here is a wire-format change
+    assert cli.main(["encode", "5", "3"]) == 0
+    assert capsys.readouterr().out == '{"len":"2","w":"798336"}\n'
+    assert cli.main(["append", "--len", "2", "--w", "5544", "--x", "9", "--json"]) == 0
+    assert capsys.readouterr().out == '{"len":"3","w":"5056582949723315928","verified":true}\n'
+
+
 def test_append_verifies():
     out = run_cli("append", "--len", "0", "--w", "0", "--x", "7", "--json")
     assert out.returncode == 0
@@ -96,6 +114,24 @@ def test_verify_witness_stdin_and_garbage():
     assert out.returncode == 0
     assert run_cli("verify-witness", stdin=b"not json").returncode == 2
     assert run_cli("verify-witness", stdin=b'{"type":"mystery"}').returncode == 2
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "factor-inverse", "kprime": "1", "i": "2", "z": "-3", "pprime": "2", "qprime": "1"},
+    {"type": "recode", "u": "0", "v": "0", "vprime": "-1", "x": "0", "k": "0", "uprime": "0"},
+    {"type": "product-inverse", "k": "2", "v": "+6", "i": "4", "u": "7", "p": "1", "q": "0"},
+    {"type": "factor-inverse", "kprime": 1, "i": "3", "z": "1", "pprime": "4", "qprime": "1"},
+])
+def test_verify_witness_rejects_non_naturals(obj, tmp_path, capsys):
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(obj))
+    assert cli.main(["verify-witness", str(path)]) == 2
+    assert "malformed witness" in capsys.readouterr().err
+
+
+def test_negative_samples_exit_2():
+    assert cli.main(["check-axioms", "--model", "nat", "--samples", "-5"]) == 2
+    assert cli.main(["demo", "subtraction", "--samples", "-1"]) == 2
 
 
 def test_check_axioms_nat_passes():

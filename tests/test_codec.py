@@ -1,5 +1,6 @@
 """Pairing, entry readers, and the append-only sequence contract."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcode._decimal import decimal_str
 from seqcode.codec import (
     NotAPairCode,
     SeqHandle,
@@ -64,6 +66,18 @@ def test_isqrt_fixed_values():
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 9, 15, 16, 17, 10**12, 2**128, 2**128 + 1])
 def test_isqrt_against_stdlib(n):
     assert isqrt(n) == math.isqrt(n)
+
+
+def test_isqrt_exact_around_a_huge_square():
+    s = random.Random(5).getrandbits(10**5) | 1 << (10**5 - 1)
+    assert isqrt(s * s - 1) == s - 1
+    assert isqrt(s * s) == s
+    assert isqrt((s + 1) * (s + 1) - 1) == s
+
+
+def test_isqrt_rejects_negatives():
+    with pytest.raises(ValueError):
+        isqrt(-1)
 
 
 @given(st.integers(min_value=0, max_value=2**130))
@@ -218,6 +232,26 @@ def test_seq_contract_property(xs):
     assert seq_decode(h) == xs
 
 
+def test_append_onto_non_code_starts_from_code_zero():
+    non_code = 3
+    assert not is_pair_code(non_code)
+    h = seq_append(SeqHandle(3, non_code), 11)
+    assert seq_decode(h) == [0, 0, 0, 11]
+    # code 0 and an explicit run of k zeros both carry u = 0 and a v that
+    # divides lcm(1..k+1), so the appended code is the same either way
+    for k in range(1, 7):
+        for x in [0, 11, 2**70]:
+            assert seq_append(SeqHandle(k, non_code), x) == seq_build([0] * k + [x])
+
+
+def test_k24_code_is_pinned():
+    # golden SHA-256 of the decimal code: a different digest is a wire change
+    rng = random.Random(24)
+    h = seq_build([rng.getrandbits(64) for _ in range(24)])
+    digest = hashlib.sha256(decimal_str(h.w).encode()).hexdigest()
+    assert digest == "1492f84062d57de812ff71fd8c0a40371957d1f25485ad6591f427b1f89498fb"
+
+
 def test_seq_contract_seeded_random():
     rng = random.Random(1815)
     for _ in range(40):
@@ -246,6 +280,13 @@ def test_normalize_rebuilds_non_codes():
     assert beta(w0, 1) == 0
 
 
+def test_normalize_maps_non_codes_to_zero():
+    for w in [3, 7, pair(5, 9) + 20, 2**200 + 2**100 + 1]:
+        assert not is_pair_code(w)
+        for k in [1, 2, 24]:
+            assert normalize(w, k) == 0
+
+
 def test_normalize_matches_total_reader():
     for w in [0, 3, 7, 5544, 99999]:
         for k in range(4):
@@ -268,6 +309,13 @@ def test_handle_json_roundtrip():
 def test_handle_json_rejects_negative():
     with pytest.raises(ValueError):
         SeqHandle.from_json({"len": "-1", "w": "0"})
+
+
+def test_handle_rejects_negative_fields():
+    with pytest.raises(ValueError):
+        SeqHandle(-3, 5)
+    with pytest.raises(ValueError):
+        SeqHandle(3, -5)
 
 
 def test_append_rejects_negative_entry():
