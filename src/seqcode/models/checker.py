@@ -143,7 +143,7 @@ QEXT = Model(
     add=qext.add,
     mul=qext.mul,
     le=None,
-    box=tuple(qext.std(n) for n in range(51)) + (qext.A0, qext.A1),
+    box=(qext.A0, qext.A1) + tuple(qext.std(n) for n in range(51)),
     sample=_sample_qext,
     fmt=qext.fmt,
     pred=qext.pred,
@@ -154,7 +154,8 @@ MODELS = {m.name: m for m in (NAT, POLYNAT, QEXT)}
 
 def _exhaustive_box(model: Model, arity: int) -> tuple:
     # shrink the per-variable box until the assignment count fits the cap;
-    # boxes are sorted ascending, so truncation keeps the smallest elements
+    # boxes list their telling elements first (qext's atoms, then the
+    # smallest values ascending), so truncation keeps those
     limit = len(model.box)
     while limit > 1 and limit ** arity > MAX_EXHAUSTIVE:
         limit -= 1

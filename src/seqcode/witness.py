@@ -3,17 +3,20 @@
 Everything here is built from +, * and divisibility alone, and everything
 returns checkable objects: products divisible by a whole family of moduli,
 explicit modular inverses together with their quotients, and recoded
-residue systems.  Certificates re-verify by direct evaluation instead of
-trusting their own construction.  ``crt`` is the deliberately independent
-cross-check: it reconstructs residue systems with extended gcd, an
-algorithm the constructive route never touches.
+residue systems.  Each witness is built once, from the closed forms, and
+checked once at the boundary by direct evaluation instead of trusting its
+own construction; verification costs are bounded by the witness size.
+All three witness types share one JSON wire form.  ``crt`` is the
+deliberately independent cross-check: it reconstructs residue systems
+with the stdlib modular inverse, which the constructive route never
+touches.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, fields
+from typing import ClassVar, Sequence
 
 from seqcode._decimal import decimal_str, parse_decimal
 
@@ -69,8 +72,22 @@ def divisor_product(k: int, v: int) -> int:
     return u
 
 
+class _Witness:
+    """The one wire form: the type tag, then every field in declaration order."""
+
+    tag: ClassVar[str]
+
+    def to_json(self) -> dict[str, str]:
+        values = {f.name: decimal_str(getattr(self, f.name)) for f in fields(self)}
+        return {"type": self.tag, **values}
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return cls(*(parse_decimal(obj[f.name]) for f in fields(cls)))
+
+
 @dataclass(frozen=True)
-class FactorWitness:
+class FactorWitness(_Witness):
     """Closed-form inverse of 1 + kprime*v modulo 1 + i*v, for v = z*(i - kprime).
 
     The defining identity is exact over the naturals:
@@ -78,6 +95,7 @@ class FactorWitness:
         (1 + kprime*v) * pprime == 1 + (1 + i*v) * qprime
     """
 
+    tag = "factor-inverse"
     kprime: int
     i: int
     z: int
@@ -95,19 +113,11 @@ class FactorWitness:
         v = self.v
         return (1 + self.kprime * v) * self.pprime == 1 + (1 + self.i * v) * self.qprime
 
-    def to_json(self) -> dict[str, str]:
-        return {
-            "type": "factor-inverse",
-            "kprime": decimal_str(self.kprime),
-            "i": decimal_str(self.i),
-            "z": decimal_str(self.z),
-            "pprime": decimal_str(self.pprime),
-            "qprime": decimal_str(self.qprime),
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "FactorWitness":
-        return cls(*(parse_decimal(obj[f]) for f in ("kprime", "i", "z", "pprime", "qprime")))
+def _factor_pair(kprime: int, i: int, z: int) -> tuple[int, int]:
+    # the closed form (pprime, qprime) of factor_inverse, unchecked
+    gap = i - (kprime + 1)
+    return 1 + kprime + i * kprime * gap * z, kprime + kprime * kprime * gap * z
 
 
 def factor_inverse(kprime: int, i: int, z: int) -> FactorWitness:
@@ -125,21 +135,14 @@ def factor_inverse(kprime: int, i: int, z: int) -> FactorWitness:
         raise DomainError(f"kprime must be at least 1, got {kprime}")
     if i < kprime + 1:
         raise DomainError(f"need i >= kprime + 1, got i={i} with kprime={kprime}")
-    gap = i - (kprime + 1)
-    witness = FactorWitness(
-        kprime=kprime,
-        i=i,
-        z=z,
-        pprime=1 + kprime + i * kprime * gap * z,
-        qprime=kprime + kprime * kprime * gap * z,
-    )
+    witness = FactorWitness(kprime, i, z, *_factor_pair(kprime, i, z))
     if not witness.verify():  # witnesses are never trusted from construction
         raise RuntimeError(f"factor witness failed its own identity: {witness}")
     return witness
 
 
 @dataclass(frozen=True)
-class InverseCertificate:
+class InverseCertificate(_Witness):
     """Witness that divisor_product(k, v) is invertible modulo 1 + i*v.
 
     Carries the inverse p and the quotient q with u*p == 1 + (1 + i*v)*q,
@@ -147,6 +150,7 @@ class InverseCertificate:
     every 0 < j <= k.
     """
 
+    tag = "product-inverse"
     k: int
     v: int
     i: int
@@ -155,8 +159,16 @@ class InverseCertificate:
     q: int
 
     def verify(self) -> bool:
-        """Re-check every stated invariant by direct evaluation."""
+        """Re-check every stated invariant by direct evaluation.
+
+        The cost is bounded by the witness size: v = 0 has a closed form,
+        and for v >= 1 every factor is at least 2, so u >= 2**k.
+        """
         if self.i <= self.k:
+            return False
+        if self.v == 0:
+            return self.u == 1 and self.p == 1 + self.q
+        if self.u.bit_length() <= self.k:
             return False
         if any(not divides(self.i - j, self.v) for j in range(1, self.k + 1)):
             return False
@@ -164,44 +176,41 @@ class InverseCertificate:
             return False
         return self.u * self.p == 1 + (1 + self.i * self.v) * self.q
 
-    def to_json(self) -> dict[str, str]:
-        return {
-            "type": "product-inverse",
-            "k": decimal_str(self.k),
-            "v": decimal_str(self.v),
-            "i": decimal_str(self.i),
-            "u": decimal_str(self.u),
-            "p": decimal_str(self.p),
-            "q": decimal_str(self.q),
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "InverseCertificate":
-        return cls(*(parse_decimal(obj[f]) for f in ("k", "v", "i", "u", "p", "q")))
-
 
 def product_inverse(k: int, v: int, i: int) -> InverseCertificate:
     """Build the inverse certificate for divisor_product(k, v) modulo 1 + i*v.
 
-    Level 0 is (p, q) = (1, 0).  Going from level t-1 to t multiplies in the
-    factor inverse of 1 + t*v (its z is v // (i - t), exact by precondition)
-    and recombines the quotient as q + q' + q*q'*(1 + i*v), so each level
-    stays certificate-checkable on its own.
+    Built once, checked once at the boundary.  Level 0 is (u, p, q) =
+    (1, 1, 0).  Going from level t-1 to t multiplies in the factor 1 + t*v
+    and its closed-form inverse (whose z is v // (i - t), exact by
+    precondition) and recombines the quotient as q + q' + q*q'*(1 + i*v).
     """
     if i <= k:
         raise PreconditionViolated(f"need i > k, got i={i}, k={k}")
     for j in range(1, k + 1):
         if not divides(i - j, v):
             raise PreconditionViolated(f"i - {j} = {i - j} must divide v = {v}")
-    p, q = 1, 0
+    u, p, q = 1, 1, 0
     modulus = 1 + i * v
     for t in range(1, k + 1):
-        step = factor_inverse(t, i, v // (i - t))
-        p, q = p * step.pprime, q + step.qprime + q * step.qprime * modulus
-    cert = InverseCertificate(k=k, v=v, i=i, u=divisor_product(k, v), p=p, q=q)
+        pprime, qprime = _factor_pair(t, i, v // (i - t))
+        u, p, q = u * (1 + t * v), p * pprime, q + qprime + q * qprime * modulus
+    cert = InverseCertificate(k=k, v=v, i=i, u=u, p=p, q=q)
     if not cert.verify():  # certificates are never trusted from construction
         raise RuntimeError(f"inverse certificate failed its own identity: {cert}")
     return cert
+
+
+def _recode_violation(v: int, vprime: int, x: int, k: int) -> str | None:
+    # why recode_extend(_, v, vprime, x, k) is undefined, or None; a
+    # vprime >= 1 divisible by 1..k is at least lcm(1..k) >= 2**(k-1)
+    if vprime < v:
+        return f"need vprime >= v, got vprime={vprime}, v={v}"
+    if (k + 1) * vprime < x:
+        return f"need (k+1)*vprime >= x, got {(k + 1) * vprime} < {x}"
+    if vprime and (vprime.bit_length() < k or vprime % lcm_upto(k)):
+        return f"vprime = {vprime} must be divisible by 1..{k}"
+    return None
 
 
 def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
@@ -213,32 +222,37 @@ def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
         u' rem (1 + t*vprime) == u rem (1 + t*v)   for 1 <= t <= k,
         u' rem (1 + (k+1)*vprime) == x.
 
-    Built bottom-up.  The level-t correction term carries the factor
-    divisor_product(t, vprime), so it is invisible to every position below
-    t; multiplied by the certified inverse it is exactly 1 modulo
-    1 + (t+1)*vprime, which plants the level-t target there.
+    Built once, checked once at the boundary.  The level-t correction term
+    carries divisor_product(t, vprime), grown by one factor per level, so
+    it is invisible to every position below t; times that product's
+    closed-form inverse modulo 1 + (t+1)*vprime it is exactly 1 there,
+    which plants the level-t target.  The result is checked against the
+    contract once, before it is returned.
     """
-    for t in range(1, k + 1):
-        if not divides(t, vprime):
-            raise PreconditionViolated(f"vprime = {vprime} must be divisible by {t}")
-    if vprime < v:
-        raise PreconditionViolated(f"need vprime >= v, got vprime={vprime}, v={v}")
-    if (k + 1) * vprime < x:
-        raise PreconditionViolated(f"need (k+1)*vprime >= x, got {(k + 1) * vprime} < {x}")
+    violation = _recode_violation(v, vprime, x, k)
+    if violation:
+        raise PreconditionViolated(violation)
     if k == 0:
         return x
-    acc = rem(u, 1 + v)
+    acc, prefix = rem(u, 1 + v), 1
     for t in range(1, k + 1):
         target = x if t == k else rem(u, 1 + (t + 1) * v)
-        cert = product_inverse(t, vprime, t + 1)
-        acc = acc + (target + acc * (t + 1) * vprime) * cert.u * cert.p
+        prefix *= 1 + t * vprime
+        # the p of product_inverse(t, vprime, t + 1), without its q
+        inverse = math.prod(_factor_pair(s, t + 1, vprime // (t + 1 - s))[0]
+                            for s in range(1, t + 1))
+        acc = acc + (target + acc * (t + 1) * vprime) * prefix * inverse
+    witness = RecodeWitness(u, v, vprime, x, k, acc)
+    if not witness.verify():  # recodings are never trusted from construction
+        raise RuntimeError(f"recode failed its own contract: {witness}")
     return acc
 
 
 @dataclass(frozen=True)
-class RecodeWitness:
+class RecodeWitness(_Witness):
     """Audit record for one recode_extend call: the inputs plus claimed output."""
 
+    tag = "recode"
     u: int
     v: int
     vprime: int
@@ -247,32 +261,23 @@ class RecodeWitness:
     uprime: int
 
     def verify(self) -> bool:
+        """The recode_extend preconditions, then the residue contract.
+
+        The cost is bounded by the witness size: vprime = 0 forces
+        v = x = 0 and makes every modulus 1, and vprime >= 1 bounds k by
+        vprime's bit length.
+        """
+        if _recode_violation(self.v, self.vprime, self.x, self.k):
+            return False
+        if self.vprime == 0:
+            return True
         for t in range(1, self.k + 1):
             if rem(self.uprime, 1 + t * self.vprime) != rem(self.u, 1 + t * self.v):
                 return False
         return rem(self.uprime, 1 + (self.k + 1) * self.vprime) == self.x
 
-    def to_json(self) -> dict[str, str]:
-        return {
-            "type": "recode",
-            "u": decimal_str(self.u),
-            "v": decimal_str(self.v),
-            "vprime": decimal_str(self.vprime),
-            "x": decimal_str(self.x),
-            "k": decimal_str(self.k),
-            "uprime": decimal_str(self.uprime),
-        }
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "RecodeWitness":
-        return cls(*(parse_decimal(obj[f]) for f in ("u", "v", "vprime", "x", "k", "uprime")))
-
-
-_WITNESS_TYPES = {
-    "factor-inverse": FactorWitness,
-    "product-inverse": InverseCertificate,
-    "recode": RecodeWitness,
-}
+_WITNESS_TYPES = {cls.tag: cls for cls in (FactorWitness, InverseCertificate, RecodeWitness)}
 
 
 def witness_from_json(obj: dict):
@@ -282,17 +287,6 @@ def witness_from_json(obj: dict):
     except KeyError:
         raise ValueError(f"unknown witness type: {obj.get('type')!r}") from None
     return cls.from_json(obj)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, s, t) with a*s + b*t == g == gcd(a, b)
-    s, s0, t, t0, r, r0 = 1, 0, 0, 1, a, b
-    while r0:
-        quot = r // r0
-        r, r0 = r0, r - quot * r0
-        s, s0 = s0, s - quot * s0
-        t, t0 = t0, t - quot * t0
-    return r, s, t
 
 
 def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
@@ -311,9 +305,10 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
             raise PreconditionViolated(f"residue {r} is not below modulus {m}")
     u, prod = 0, 1
     for r, m in zip(residues, moduli):
-        g, s, _ = _egcd(prod % m, m)
-        if g != 1:
-            raise NotCoprime(f"moduli share the factor {g}")
+        try:
+            s = pow(prod % m, -1, m)
+        except ValueError:
+            raise NotCoprime(f"moduli share the factor {math.gcd(prod, m)}") from None
         u += prod * (((r - u) * s) % m)
         prod *= m
     return u

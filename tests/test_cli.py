@@ -9,12 +9,12 @@ import pytest
 from seqcode import cli, codec, witness
 
 
-def run_cli(*args, stdin=None):
+def run_cli(*args, stdin=None, timeout=300):
     return subprocess.run(
         [sys.executable, "-m", "seqcode", *args],
         capture_output=True,
         input=stdin,
-        timeout=300,
+        timeout=timeout,
     )
 
 
@@ -127,6 +127,17 @@ def test_verify_witness_rejects_non_naturals(obj, tmp_path, capsys):
     path.write_text(json.dumps(obj))
     assert cli.main(["verify-witness", str(path)]) == 2
     assert "malformed witness" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [
+    '{"type":"product-inverse","k":"100000000000","v":"0","i":"100000000001","u":"1","p":"1","q":"0"}',
+    '{"type":"recode","u":"0","v":"0","vprime":"0","x":"0","k":"100000000000","uprime":"0"}',
+])
+def test_verify_witness_cost_is_bounded_by_witness_size(text):
+    # both are valid; a verify that loops k = 10**11 times would time out
+    out = run_cli("verify-witness", stdin=text.encode(), timeout=10)
+    assert out.returncode == 0
+    assert out.stdout.endswith(b": valid\n")
 
 
 def test_negative_samples_exit_2():

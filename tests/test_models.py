@@ -15,6 +15,7 @@ from seqcode.models.checker import (
     Model,
     SampleBudget,
     UnknownAxiom,
+    _exhaustive_box,
     check_axiom,
     check_q_axioms,
     run_axiom,
@@ -156,6 +157,13 @@ def test_exhaustive_box_fits_the_cap():
     assert three_var.samples == 16 ** 3
     two_var = check_axiom(POLYNAT, "A2", SampleBudget(samples=0, seed=0))
     assert two_var.samples == 64 ** 2
+
+
+def test_qext_exhaustive_box_keeps_its_atoms_at_every_arity():
+    for arity in (1, 2, 3, 4):
+        box = _exhaustive_box(QEXT, arity)
+        assert A0 in box and A1 in box
+    assert len(_exhaustive_box(QEXT, 2)) == len(QEXT.box) == 53
 
 
 # ---------------------------------------------------------------- verdicts

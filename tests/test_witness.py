@@ -1,5 +1,6 @@
 """Divisor products, certified inverses, recoding, and the CRT cross-check."""
 
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from seqcode import witness
 from seqcode.witness import (
     DomainError,
     FactorWitness,
@@ -165,6 +167,19 @@ def test_product_inverse_sweep_small():
                 assert rem(cert.u * cert.p, 1 + i * v) == 1
 
 
+def test_certificate_verify_is_bounded_by_witness_size():
+    huge = 10**11
+    # v = 0: u = 1 and u*p == 1 + q, for any k below i, without a k-step loop
+    assert InverseCertificate(huge, 0, huge + 1, 1, 1, 0).verify()
+    assert InverseCertificate(huge, 0, huge + 1, 1, 8, 7).verify()
+    assert not InverseCertificate(huge, 0, huge + 1, 2, 1, 0).verify()
+    assert not InverseCertificate(huge, 0, huge, 1, 1, 0).verify()
+    # v >= 1: u >= 2**k, so a short u cannot certify a long product
+    assert not InverseCertificate(huge, 1, huge + 1, 1, 1, 0).verify()
+    cert = product_inverse(3, 12, 5)
+    assert not InverseCertificate(cert.k, cert.v, cert.i, 2**cert.k - 1, cert.p, cert.q).verify()
+
+
 def test_certificate_verify_rejects_tampering():
     cert = product_inverse(2, 6, 4)
     bad = InverseCertificate(cert.k, cert.v, cert.i, cert.u, cert.p, cert.q + 1)
@@ -188,6 +203,20 @@ def test_recode_extend_fixed_case():
     assert rem(uprime, 181) == 9
 
 
+def test_recode_extend_rejects_a_wrong_closed_form(monkeypatch):
+    # the contract is checked once at the boundary, so a broken inverse
+    # surfaces as an error instead of a wrong code
+    closed_form = witness._factor_pair
+
+    def wrong_pprime(*args):
+        pprime, qprime = closed_form(*args)
+        return pprime + 1, qprime
+
+    monkeypatch.setattr(witness, "_factor_pair", wrong_pprime)
+    with pytest.raises(RuntimeError):
+        recode_extend(68, 6, 60, 9, 2)
+
+
 def test_recode_extend_preconditions():
     with pytest.raises(PreconditionViolated):
         recode_extend(68, 6, 7, 9, 2)  # 7 not divisible by 2
@@ -204,6 +233,22 @@ def test_recode_witness_json_roundtrip():
     again = witness_from_json(wit.to_json())
     assert again == wit and again.verify()
     assert not RecodeWitness(68, 6, 60, 9, 2, uprime + 1).verify()
+
+
+def test_recode_witness_verify_checks_the_preconditions():
+    huge = 10**11
+    # vprime = 0 makes every modulus 1 and forces v = x = 0
+    assert RecodeWitness(5, 0, 0, 0, huge, 7).verify()
+    assert not RecodeWitness(5, 1, 0, 0, huge, 7).verify()
+    assert not RecodeWitness(5, 0, 0, 1, huge, 7).verify()
+    # vprime >= 1 is a multiple of lcm(1..k) >= 2**(k-1)
+    assert not RecodeWitness(0, 0, 1, 0, huge, 0).verify()
+    assert not RecodeWitness(0, 0, 2**40, 0, 41, 0).verify()
+    # residues alone would accept these: 60 < 61 breaks vprime >= v, and
+    # 59 is not divisible by 2
+    assert RecodeWitness(0, 0, 60, 0, 2, 0).verify()
+    assert not RecodeWitness(0, 61, 60, 0, 2, 0).verify()
+    assert not RecodeWitness(0, 0, 59, 0, 2, 0).verify()
 
 
 def _random_recode_instance(rng):
@@ -240,8 +285,15 @@ def test_crt_fixed_values():
 
 
 def test_crt_not_coprime():
-    with pytest.raises(NotCoprime):
+    with pytest.raises(NotCoprime, match="factor 2"):
         crt([1, 2], [2, 4])
+    with pytest.raises(NotCoprime, match="factor 3"):
+        crt([0, 1, 2], [5, 3, 9])
+
+
+def test_crt_unit_modulus():
+    assert crt([0, 0], [1, 1]) == 0
+    assert crt([0, 4], [1, 7]) == 4
 
 
 def test_crt_minimality_brute_force():
@@ -290,6 +342,22 @@ def test_certificate_json_roundtrip():
 def test_factor_witness_json_roundtrip():
     w = factor_inverse(2, 7, 3)
     assert witness_from_json(w.to_json()) == w
+
+
+def test_witness_json_bytes_are_pinned():
+    # golden wire form: the type tag, then every field in declaration order
+    witnesses = (
+        factor_inverse(2, 7, 3),
+        product_inverse(3, 12, 5),
+        RecodeWitness(68, 6, 60, 9, 2, recode_extend(68, 6, 60, 9, 2)),
+    )
+    assert [json.dumps(w.to_json()) for w in witnesses] == [
+        '{"type": "factor-inverse", "kprime": "2", "i": "7", "z": "3", "pprime": "171", "qprime": "50"}',
+        '{"type": "product-inverse", "k": "3", "v": "12", "i": "5", "u": "12025", "p": "366694", '
+        '"q": "72286809"}',
+        '{"type": "recode", "u": "68", "v": "6", "vprime": "60", "x": "9", "k": "2", '
+        '"uprime": "26977627141655"}',
+    ]
 
 
 def test_witness_from_json_unknown_type():
