@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Subcommands: encode, decode, append, verify-witness, check-axioms, demo.
-Big naturals cross this boundary as decimal strings only; --json switches
-the reporting commands to json-lines.  Output is byte-deterministic for a
-fixed command line and seed.
+Big naturals cross this boundary as decimal strings only, all parsed by
+one argparse type.  Each subcommand takes only the flags it reads: --json
+where there is a text report to switch, --seed and --samples where there
+is sampling.  Output is byte-deterministic for a fixed command line and
+seed.
 
 Exit codes: 0 success (including expected counterexamples in demos),
 1 failed verification or unexpected axiom verdict, 2 malformed input.
@@ -26,23 +28,13 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-class _UsageError(Exception):
-    pass
+def natural(text: str) -> int:
+    """argparse type for every natural on the command line.
 
-
-def _parse_natural(text: str, what: str) -> int:
-    try:
-        return parse_decimal(text)
-    except ValueError:
-        raise _UsageError(f"{what} must be a nonnegative decimal integer, got {text!r}") from None
-
-
-def _count(text: str) -> int:
-    """argparse type for counts: a nonnegative decimal integer."""
-    try:
-        return parse_decimal(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}") from None
+    argparse turns its ValueError into "argument X: invalid natural value",
+    a usage error with exit status 2.
+    """
+    return parse_decimal(text)
 
 
 def _print(obj) -> None:
@@ -50,26 +42,19 @@ def _print(obj) -> None:
 
 
 def _cmd_encode(args) -> int:
-    xs = [_parse_natural(s, "entry") for s in args.values]
-    handle = codec.seq_build(xs)
-    _print(handle.to_json())
+    _print(codec.seq_build(args.values).to_json())
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
-    length = _parse_natural(args.len, "len")
-    w = _parse_natural(args.w, "w")
-    entries = codec.seq_decode(codec.SeqHandle(length, w))
+    entries = codec.seq_decode(codec.SeqHandle(args.len, args.w))
     _print([decimal_str(x) for x in entries])
     return EXIT_OK
 
 
 def _cmd_append(args) -> int:
-    length = _parse_natural(args.len, "--len")
-    w = _parse_natural(args.w, "--w")
-    x = _parse_natural(args.x, "--x")
-    handle = codec.seq_append(codec.SeqHandle(length, w), x)
-    verified = codec.verify_seq_step(w, length, x, handle.w)
+    handle = codec.seq_append(codec.SeqHandle(args.len, args.w), args.x)
+    verified = codec.verify_seq_step(args.w, args.len, args.x, handle.w)
     if args.json:
         _print({**handle.to_json(), "verified": verified})
     else:
@@ -87,12 +72,12 @@ def _cmd_verify_witness(args) -> int:
             with open(args.file, "r", encoding="utf-8") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise _UsageError(f"cannot read {args.file}: {exc}") from None
+            raise ValueError(f"cannot read {args.file}: {exc}") from None
     try:
         obj = json.loads(text)
         wit = witness.witness_from_json(obj)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise _UsageError(f"malformed witness: {exc}") from None
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+        raise ValueError(f"malformed witness: {exc}") from None
     valid = wit.verify()
     if args.json:
         _print({"type": obj["type"], "valid": valid})
@@ -129,24 +114,37 @@ def _emit_report(report: checker.AxiomReport, as_json: bool) -> None:
     print(line)
 
 
-def _cmd_check_axioms(args) -> int:
-    budget = checker.SampleBudget(samples=args.samples, seed=args.seed)
-    model = checker.MODELS[args.model]
-    if args.model == "qext":
-        reports = checker.check_q_axioms(budget) + [checker.verify_automorphism(budget)]
-    else:
-        reports = [checker.check_axiom(model, axiom_id, budget)
-                   for axiom_id in _axiom_ids(args)]
+def _budget(args) -> checker.SampleBudget:
+    return checker.SampleBudget(samples=args.samples, seed=args.seed)
+
+
+def _qext_reports(budget: checker.SampleBudget) -> list[checker.AxiomReport]:
+    # the atom model has no order: successor axioms plus the automorphism
+    return checker.check_q_axioms(budget) + [checker.verify_automorphism(budget)]
+
+
+def _emit_reports(reports: list[checker.AxiomReport], as_json: bool) -> int:
     status = EXIT_OK
     for report in reports:
-        _emit_report(report, args.json)
+        _emit_report(report, as_json)
         if report.verdict != _expected_verdict(report.model, report.axiom):
             status = EXIT_FAIL
     return status
 
 
+def _cmd_check_axioms(args) -> int:
+    budget = _budget(args)
+    if args.model == "qext":
+        reports = _qext_reports(budget)
+    else:
+        model = checker.MODELS[args.model]
+        reports = [checker.check_axiom(model, axiom_id, budget)
+                   for axiom_id in _axiom_ids(args)]
+    return _emit_reports(reports, args.json)
+
+
 def _cmd_demo_subtraction(args) -> int:
-    budget = checker.SampleBudget(samples=args.samples, seed=args.seed)
+    budget = _budget(args)
     p, q = checker.subtraction_counterexample()
     report = checker.check_axiom(checker.POLYNAT, "SUBTRACTION", budget)
     control = checker.check_axiom(checker.NAT, "SUBTRACTION", budget)
@@ -186,23 +184,14 @@ counting step is this short text."""
 
 
 def _cmd_demo_q_pairing(args) -> int:
-    budget = checker.SampleBudget(samples=args.samples, seed=args.seed)
-    reports = checker.check_q_axioms(budget)
-    auto = checker.verify_automorphism(budget)
-    status = EXIT_OK
+    # the check-axioms --model qext reports, framed by a header and the note
+    reports = _qext_reports(_budget(args))
     if args.json:
-        for report in reports + [auto]:
-            sys.stdout.write(report.to_json_line() + "\n")
-    else:
-        print("model qext: the naturals plus two absorbing atoms a0, a1")
-        print("  a + x = a   n + a = a   n * a = a   a * 0 = 0   a * x = a (x != 0)")
-        for report in reports:
-            _emit_report(report, False)
-        _emit_report(auto, False)
-        print(_COUNTING_NOTE)
-    for report in reports + [auto]:
-        if not report.passed:
-            status = EXIT_FAIL
+        return _emit_reports(reports, True)
+    print("model qext: the naturals plus two absorbing atoms a0, a1")
+    print("  a + x = a   n + a = a   n * a = a   a * 0 = 0   a * x = a (x != 0)")
+    status = _emit_reports(reports, False)
+    print(_COUNTING_NOTE)
     return status
 
 
@@ -213,11 +202,12 @@ def _cmd_demo(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed for sampled checks")
-    common.add_argument("--samples", type=_count, default=1000,
-                        help="random samples per checked statement")
-    common.add_argument("--json", action="store_true", help="machine-readable output")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true", help="machine-readable output")
+    sampling = argparse.ArgumentParser(add_help=False)
+    sampling.add_argument("--seed", type=int, default=0, help="base seed for sampled checks")
+    sampling.add_argument("--samples", type=natural, default=1000,
+                          help="random samples per checked statement")
 
     parser = argparse.ArgumentParser(
         prog="seqcode",
@@ -225,27 +215,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("encode", parents=[common], help="encode naturals into a handle")
-    p.add_argument("values", nargs="*", metavar="N", help="entries, decimal")
+    p = sub.add_parser("encode", help="encode naturals into a handle")
+    p.add_argument("values", nargs="*", type=natural, metavar="N", help="entries, decimal")
     p.set_defaults(func=_cmd_encode)
 
-    p = sub.add_parser("decode", parents=[common], help="decode a handle")
-    p.add_argument("len", help="number of entries, decimal")
-    p.add_argument("w", help="sequence code, decimal")
+    p = sub.add_parser("decode", help="decode a handle")
+    p.add_argument("len", type=natural, metavar="LEN", help="number of entries, decimal")
+    p.add_argument("w", type=natural, metavar="W", help="sequence code, decimal")
     p.set_defaults(func=_cmd_decode)
 
-    p = sub.add_parser("append", parents=[common], help="append one entry to a handle")
-    p.add_argument("--len", required=True, help="current length, decimal")
-    p.add_argument("--w", required=True, help="current code, decimal")
-    p.add_argument("--x", required=True, help="entry to append, decimal")
+    p = sub.add_parser("append", parents=[json_flag], help="append one entry to a handle")
+    p.add_argument("--len", required=True, type=natural, help="current length, decimal")
+    p.add_argument("--w", required=True, type=natural, help="current code, decimal")
+    p.add_argument("--x", required=True, type=natural, help="entry to append, decimal")
     p.set_defaults(func=_cmd_append)
 
-    p = sub.add_parser("verify-witness", parents=[common],
+    p = sub.add_parser("verify-witness", parents=[json_flag],
                        help="re-check a JSON witness (file or - for stdin)")
     p.add_argument("file", nargs="?", default="-")
     p.set_defaults(func=_cmd_verify_witness)
 
-    p = sub.add_parser("check-axioms", parents=[common], help="run axiom checks on a model")
+    p = sub.add_parser("check-axioms", parents=[json_flag, sampling],
+                       help="run axiom checks on a model")
     p.add_argument("--model", required=True, choices=sorted(checker.MODELS))
     p.add_argument("--include-derived", action="store_true",
                    help="also check the derived order/cancellation laws")
@@ -253,7 +244,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="also check the subtraction law")
     p.set_defaults(func=_cmd_check_axioms)
 
-    p = sub.add_parser("demo", parents=[common], help="machine-checked countermodel demos")
+    p = sub.add_parser("demo", parents=[json_flag, sampling],
+                       help="machine-checked countermodel demos")
     p.add_argument("which", choices=["subtraction", "q-pairing"])
     p.set_defaults(func=_cmd_demo)
 
@@ -261,17 +253,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on bad usage and 0 for --help; normalize the rest
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -82,14 +82,24 @@ def beta(w: int, i: int) -> int | None:
     return u % (1 + (i + 1) * v)
 
 
+def _split(w: int) -> tuple[int, int]:
+    # the totalized reading in one place: a non-code reads as code 0,
+    # pair(0, 0), whose every entry is 0
+    try:
+        return unpair(w)
+    except NotAPairCode:
+        return 0, 0
+
+
 def beta_total(w: int, i: int) -> int:
     """Totalized entry reader: like ``beta`` but 0 on non-codes.
 
-    A non-code has every position undefined, so position 0 already fails
-    and the whole read collapses to 0; on pair codes the two readers agree.
+    The code is split once into (u, v), a non-code into (0, 0), and the
+    entry is u modulo 1 + (i+1)*v; on pair codes the two readers agree.
     """
-    value = beta(w, i)
-    return 0 if value is None else value
+    _natural(i, "i")
+    u, v = _split(w)
+    return u % (1 + (i + 1) * v)
 
 
 @dataclass(frozen=True)
@@ -132,12 +142,7 @@ def seq_append(s: SeqHandle, x: int) -> SeqHandle:
     """
     _natural(x, "x")
     k = s.len
-    u0, v0 = 0, 0
-    if k:
-        try:
-            u0, v0 = unpair(s.w)
-        except NotAPairCode:
-            pass
+    u0, v0 = _split(s.w) if k else (0, 0)
     step = lcm_upto(k + 1)
     v1 = ((max(v0, x, 1) + step - 1) // step) * step
     u1 = recode_extend(u0, v0, v1, x, k)
@@ -160,24 +165,27 @@ def seq_decode(s: SeqHandle) -> list[int]:
 def normalize(w: int, k: int) -> int:
     """A pair code whose first k plain entries equal beta_total(w, .).
 
-    Pair codes already decode identically under ``beta`` and ``beta_total``
-    and are returned unchanged.  A non-code reads as all zeros, and so does
-    code 0 = pair(0, 0), which is returned instead.  k = 0 always yields the
-    canonical empty code 0.
+    For k >= 1 a pair code is returned unchanged, since ``beta`` and
+    ``beta_total`` read it alike, and a non-code, which reads as all
+    zeros, becomes code 0 = pair(0, 0), which reads the same.  k = 0
+    always yields the canonical empty code 0.
     """
     _natural(w, "w")
     _natural(k, "k")
-    if k == 0:
-        return 0
-    return w if is_pair_code(w) else 0
+    return w if k and is_pair_code(w) else 0
 
 
 def verify_seq_step(w: int, k: int, x: int, w_new: int) -> bool:
     """Check one append against the decoded contract.
 
     True iff w_new decodes like w on every position below k and decodes to
-    x at position k itself.
+    x at position k itself.  Each code is split once, so the check takes
+    two square roots, then compares one pair of remainders per position
+    until the first mismatch.
     """
-    if beta_total(w_new, k) != x:
+    _natural(k, "k")
+    u_new, v_new = _split(w_new)
+    if u_new % (1 + (k + 1) * v_new) != x:
         return False
-    return all(beta_total(w_new, i) == beta_total(w, i) for i in range(k))
+    u, v = _split(w)
+    return all(u_new % (1 + (i + 1) * v_new) == u % (1 + (i + 1) * v) for i in range(k))

@@ -14,7 +14,7 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Optional
 
 from seqcode.models import axioms as _axioms
@@ -65,17 +65,8 @@ class AxiomReport:
         return self.verdict == "pass"
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "model": self.model,
-                "axiom": self.axiom,
-                "samples": self.samples,
-                "verdict": self.verdict,
-                "counterexample": self.counterexample,
-                "seed": self.seed,
-            },
-            separators=(",", ":"),
-        )
+        """One json line: every field, in declaration order."""
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 MAX_EXHAUSTIVE = 4096  # cap on assignments enumerated in the exhaustive phase

@@ -162,13 +162,15 @@ class InverseCertificate(_Witness):
         """Re-check every stated invariant by direct evaluation.
 
         The cost is bounded by the witness size: v = 0 has a closed form,
-        and for v >= 1 every factor is at least 2, so u >= 2**k.
+        and for v >= 1 every factor 1 + t*v is at least 2**m with
+        m = max(1, bits(v) - 1), so u >= 2**(k*m) is checked before the
+        divisor product is built.
         """
         if self.i <= self.k:
             return False
         if self.v == 0:
             return self.u == 1 and self.p == 1 + self.q
-        if self.u.bit_length() <= self.k:
+        if self.u.bit_length() <= self.k * max(1, self.v.bit_length() - 1):
             return False
         if any(not divides(self.i - j, self.v) for j in range(1, self.k + 1)):
             return False

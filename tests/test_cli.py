@@ -140,6 +140,47 @@ def test_verify_witness_cost_is_bounded_by_witness_size(text):
     assert out.stdout.endswith(b": valid\n")
 
 
+def test_wide_product_certificate_is_rejected_quickly():
+    # u = 2**2001 is far shorter than any product of 2000 factors 1 + t*v with
+    # v = lcm(1..2000); building that product first took some 20 s
+    obj = {"type": "product-inverse", "k": "2000", "v": str(witness.lcm_upto(2000)),
+           "i": "2001", "u": str(2**2001), "p": "1", "q": "0"}
+    out = run_cli("verify-witness", stdin=json.dumps(obj).encode(), timeout=10)
+    assert out.returncode == 1
+    assert out.stdout == b"product-inverse: INVALID\n"
+
+
+def test_deeply_nested_witness_json_exits_2():
+    out = run_cli("verify-witness", stdin=b"[" * 100000 + b"]" * 100000)
+    assert out.returncode == 2
+    assert b"malformed witness" in out.stderr
+    assert b"Traceback" not in out.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--json", "5"],
+    ["decode", "--seed", "3", "2", "5544"],
+    ["verify-witness", "--samples", "5"],
+])
+def test_flags_a_command_does_not_read_exit_2(argv, capsys):
+    assert cli.main(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_malformed_natural_names_the_argument(capsys):
+    assert cli.main(["append", "--len", "0", "--w", "0", "--x", "-1"]) == 2
+    assert "argument --x: invalid natural value: '-1'" in capsys.readouterr().err
+
+
+def test_demo_q_pairing_json_is_the_qext_check(capsys):
+    budget = ["--samples", "30", "--seed", "5", "--json"]
+    assert cli.main(["demo", "q-pairing", *budget]) == 0
+    demo = capsys.readouterr().out
+    assert cli.main(["check-axioms", "--model", "qext", *budget]) == 0
+    assert capsys.readouterr().out == demo
+    assert demo.count("\n") == 8
+
+
 def test_negative_samples_exit_2():
     assert cli.main(["check-axioms", "--model", "nat", "--samples", "-5"]) == 2
     assert cli.main(["demo", "subtraction", "--samples", "-1"]) == 2

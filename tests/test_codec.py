@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqcode import codec
 from seqcode._decimal import decimal_str
 from seqcode.codec import (
     NotAPairCode,
@@ -195,6 +196,26 @@ def test_append_to_empty_verifies_for_any_entry():
 def test_verify_seq_step_fixed_values():
     assert verify_seq_step(0, 0, 7, 203)
     assert not verify_seq_step(0, 0, 7, 0)  # position 0 of code 0 reads 0, not 7
+
+
+def test_verify_seq_step_splits_each_code_once(monkeypatch):
+    h = seq_build(range(1, 9))
+    nxt = seq_append(h, 99)
+    calls = []
+    real_isqrt = codec.isqrt
+    monkeypatch.setattr(codec, "isqrt", lambda n: calls.append(n) or real_isqrt(n))
+    assert verify_seq_step(h.w, h.len, 99, nxt.w)
+    assert len(calls) == 2  # one square root per code, not one per position
+
+
+def test_verify_seq_step_checks_every_position():
+    h = seq_build(range(1, 9))
+    nxt = seq_append(h, 99)
+    last_differs = seq_build([1, 2, 3, 4, 5, 6, 7, 100])
+    assert not verify_seq_step(last_differs.w, 8, 99, nxt.w)
+    assert not verify_seq_step(h.w, 8, 98, nxt.w)
+    with pytest.raises(ValueError):
+        verify_seq_step(h.w, -1, 99, nxt.w)
 
 
 def test_decode_fixed_values():

@@ -152,6 +152,14 @@ def test_report_json_shape():
     )
 
 
+def test_counterexample_report_json_bytes_are_pinned():
+    report = check_axiom(POLYNAT, "SUBTRACTION", SampleBudget(samples=50, seed=1))
+    assert report.to_json_line() == (
+        '{"model":"polynat","axiom":"SUBTRACTION","samples":69,'
+        '"verdict":"counterexample","counterexample":{"x":["1"],"y":["0","1"]},"seed":1}'
+    )
+
+
 def test_exhaustive_box_fits_the_cap():
     three_var = check_axiom(POLYNAT, "A3", SampleBudget(samples=0, seed=0))
     assert three_var.samples == 16 ** 3

@@ -180,6 +180,22 @@ def test_certificate_verify_is_bounded_by_witness_size():
     assert not InverseCertificate(cert.k, cert.v, cert.i, 2**cert.k - 1, cert.p, cert.q).verify()
 
 
+def test_certificate_bound_scales_with_the_bits_of_v():
+    # each factor 1 + t*v is at least 2**max(1, bits(v) - 1), and u bounds their product
+    cert = product_inverse(6, 60 * 2**40, 7)
+    assert cert.verify()
+    assert cert.u.bit_length() > cert.k * (cert.v.bit_length() - 1)
+    rng = random.Random(5)
+    for _ in range(300):
+        k = rng.randrange(1, 7)
+        i = k + 1 + rng.randrange(3)
+        v = lcm_upto(i) * rng.getrandbits(rng.randrange(1, 200))
+        assert product_inverse(k, v, i).verify()
+    # a short u against a wide v is rejected before the product is built
+    v = lcm_upto(2000)
+    assert not InverseCertificate(2000, v, 2001, 2**2001, 1, 0).verify()
+
+
 def test_certificate_verify_rejects_tampering():
     cert = product_inverse(2, 6, 4)
     bad = InverseCertificate(cert.k, cert.v, cert.i, cert.u, cert.p, cert.q + 1)
