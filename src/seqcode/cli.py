@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--seed", type=int, default=0, help="base seed for sampled checks")
+    sampling.add_argument("--seed", type=natural, default=0, help="seed for sampled checks")
     sampling.add_argument("--samples", type=natural, default=1000,
                           help="random samples per checked statement")
 

@@ -1,9 +1,9 @@
 """Seeded axiom checker over concrete models, with self-validating reports.
 
 Checking is testing, not proving: each axiom runs over an exhaustive small
-box first and then over seeded random samples.  The t-th random sample is
-drawn from its own generator seeded with seed XOR t, so a report is a pure
-function of (model, axiom, budget) no matter how the work is scheduled.
+box first and then over seeded random samples.  Each run seeds one
+generator with the budget's seed and draws every sample from it in order,
+so a report is a pure function of (model, axiom, budget).
 A counterexample is re-evaluated before it is reported; reports never
 relay a violation the reporter has not reproduced.
 """
@@ -28,10 +28,16 @@ class UnknownAxiom(ValueError):
 
 @dataclass(frozen=True)
 class SampleBudget:
-    """Random-phase budget: number of samples and the base seed."""
+    """Random-phase budget: number of samples and the seed, both naturals."""
 
     samples: int = 1000
     seed: int = 0
+
+    def __post_init__(self):
+        # Random(-s) draws what Random(s) draws: a negative seed repeats a stream
+        samples, seed = self.samples, self.seed
+        if type(samples) is not int or type(seed) is not int or samples < 0 or seed < 0:
+            raise ValueError(f"samples and seed must be naturals, got {samples!r}, {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -163,19 +169,20 @@ def _counterexample(model: Model, ax: _axioms.Axiom, args: tuple,
 
 def run_axiom(model: Model, ax: _axioms.Axiom,
               budget: SampleBudget = SampleBudget()) -> AxiomReport:
-    """Exhaustive box first, then seeded samples; stop at the first violation."""
+    """Exhaustive box, then samples in order from one Random(budget.seed); stop at a violation."""
     if ax.needs_order and model.le is None:
         raise ValueError(f"axiom {ax.id} needs an order, but model {model.name} has none")
+    holds, arity = ax.holds, ax.arity
     tested = 0
-    for args in itertools.product(_exhaustive_box(model, ax.arity), repeat=ax.arity):
+    for args in itertools.product(_exhaustive_box(model, arity), repeat=arity):
         tested += 1
-        if not ax.holds(model, args):
+        if not holds(model, args):
             return _counterexample(model, ax, args, tested, budget.seed)
-    for t in range(budget.samples):
-        rng = random.Random(budget.seed ^ t)
-        args = tuple(model.sample(rng) for _ in range(ax.arity))
+    rng, sample = random.Random(budget.seed), model.sample
+    for _ in range(budget.samples):
+        args = tuple(sample(rng) for _ in range(arity))
         tested += 1
-        if not ax.holds(model, args):
+        if not holds(model, args):
             return _counterexample(model, ax, args, tested, budget.seed)
     return AxiomReport(model.name, ax.id, tested, "pass", None, budget.seed)
 

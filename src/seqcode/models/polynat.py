@@ -15,6 +15,8 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Optional
 
+from seqcode._decimal import decimal_str, parse_decimal
+
 
 @functools.total_ordering
 class PolyNat:
@@ -81,11 +83,11 @@ class PolyNat:
         return " + ".join(terms)
 
     def to_json(self) -> list[str]:
-        return [str(c) for c in self.coeffs]
+        return [decimal_str(c) for c in self.coeffs]
 
     @classmethod
     def from_json(cls, arr: Iterable[str]) -> "PolyNat":
-        return cls(int(c) for c in arr)
+        return cls(parse_decimal(c) for c in arr)
 
 
 ZERO = PolyNat()

@@ -186,6 +186,13 @@ def test_negative_samples_exit_2():
     assert cli.main(["demo", "subtraction", "--samples", "-1"]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-3", "+3", " 3", "3.0", ""])
+def test_seed_must_be_a_decimal_natural(seed):
+    # Random(-3) draws what Random(3) draws, so a signed seed is malformed
+    assert cli.main(["check-axioms", "--model", "nat", "--seed", seed]) == 2
+    assert cli.main(["demo", "q-pairing", "--seed", seed]) == 2
+
+
 def test_check_axioms_nat_passes():
     out = run_cli("check-axioms", "--model", "nat", "--samples", "50", "--seed", "7")
     assert out.returncode == 0

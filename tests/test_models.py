@@ -1,12 +1,14 @@
 """The two-atom model, the checking engine, and the cross-model verdicts."""
 
+import hashlib
 import itertools
 import operator
+import random
 
 import pytest
 
 from seqcode.models import axioms as ax
-from seqcode.models import qext
+from seqcode.models import checker, qext
 from seqcode.models.checker import (
     MODELS,
     NAT,
@@ -134,6 +136,79 @@ def test_engine_finds_planted_violation():
     assert report.counterexample == {"x": "0"}
     # the reported assignment genuinely falsifies the axiom
     assert broken.add(0, broken.zero) != 0
+
+
+def test_budget_takes_naturals_only():
+    for bad in ({"samples": -5}, {"seed": -3}, {"samples": 1.5},
+                {"seed": "3"}, {"samples": True}):
+        with pytest.raises(ValueError):
+            SampleBudget(**bad)
+    assert SampleBudget(samples=0, seed=0) == SampleBudget(0, 0)
+
+
+def test_one_generator_per_run(monkeypatch):
+    made = []
+    real = random.Random
+
+    def counting(*args):
+        made.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(checker.random, "Random", counting)
+    for samples in (0, 1, 500):
+        made.clear()
+        assert run_axiom(NAT, ax.REGISTRY["A2"], SampleBudget(samples, seed=9)).passed
+        assert made == [(9,)]
+
+
+# adds exactly unless x >= 2**23 and y < 2**22, where it adds one more; no box
+# element reaches 2**23, so x + y = y + x can only fail on a sampled assignment
+_PLANTED = Model(
+    name="planted",
+    zero=0,
+    one=1,
+    add=lambda x, y: x + y + (x >= 2**23 > 2**22 > y),
+    mul=operator.mul,
+    le=operator.le,
+    box=tuple(range(6)),
+    sample=lambda rng: rng.getrandbits(24),
+    fmt=str,
+)
+
+
+def test_sampled_violation_follows_one_stream():
+    found_at = []
+    for seed in (0, 1, 7, 123):
+        report = check_axiom(_PLANTED, "A2", SampleBudget(samples=1000, seed=seed))
+        # oracle: one generator seeded with the seed, x then y for each sample
+        rng = random.Random(seed)
+        for t in itertools.count(1):
+            x, y = rng.getrandbits(24), rng.getrandbits(24)
+            if _PLANTED.add(x, y) != _PLANTED.add(y, x):
+                break
+        assert report.verdict == "counterexample"
+        assert report.counterexample == {"x": str(x), "y": str(y)}
+        assert report.samples == len(_PLANTED.box) ** 2 + t
+        found_at.append(t)
+    assert max(found_at) > 1  # the stream carries on past the first sample
+
+
+# SHA-256 over the reports below, recorded before the sampled phase moved to
+# one generator per run: the change of stream leaves every verdict unchanged
+_REPORTS_SHA256 = "faad581a014559befc5f18511882d93e5f3a8cc785b2ca03cb9db8baf0fb878c"
+
+
+def test_reports_of_every_builtin_model_are_pinned():
+    runs = [(model, statement) for model in (NAT, POLYNAT)
+            for statement in ax.REGISTRY.values()]
+    runs += [(QEXT, statement) for statement in ax.Q_AXIOMS + (ax.AUTOMORPHISM,)]
+    digest = hashlib.sha256()
+    for seed in (0, 1, 7):
+        for samples in (0, 200):
+            budget = SampleBudget(samples=samples, seed=seed)
+            for model, statement in runs:
+                digest.update(run_axiom(model, statement, budget).to_json_line().encode() + b"\n")
+    assert digest.hexdigest() == _REPORTS_SHA256
 
 
 def test_reports_are_deterministic():

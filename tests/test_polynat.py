@@ -1,6 +1,7 @@
 """The lexicographically ordered polynomial carrier."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -87,3 +88,20 @@ def test_json_roundtrip():
     p = PolyNat((12, 0, 3))
     assert p.to_json() == ["12", "0", "3"]
     assert PolyNat.from_json(p.to_json()) == p
+
+
+def test_json_coefficients_are_decimal_naturals():
+    for bad in ("+1", " 1", "1_0", "-1", "", "1.0"):
+        with pytest.raises(ValueError):
+            PolyNat.from_json(["0", bad])
+    with pytest.raises(TypeError):
+        PolyNat.from_json([1])
+
+
+def test_json_roundtrips_coefficients_past_the_int_str_cap():
+    cap = sys.get_int_max_str_digits()
+    p = PolyNat((7**20000, 0, 1))  # about 16.9k digits, past the default cap of 4300
+    wire = p.to_json()
+    assert len(wire[0]) > 4300 and wire[1:] == ["0", "1"]
+    assert PolyNat.from_json(wire) == p
+    assert sys.get_int_max_str_digits() == cap
