@@ -151,7 +151,7 @@ def _cmd_demo_subtraction(args) -> int:
     if args.json:
         _print({
             "pair": {"x": p.to_json(), "y": q.to_json()},
-            "order_holds": polynat_mod.lex_le(p, q),
+            "order_holds": p <= q,
             "solvable": polynat_mod.subtract(q, p) is not None,
             "polynat_verdict": report.verdict,
             "nat_verdict": control.verdict,

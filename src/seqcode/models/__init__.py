@@ -24,7 +24,7 @@ from seqcode.models.checker import (
     subtraction_counterexample,
     verify_automorphism,
 )
-from seqcode.models.polynat import PolyNat, lex_le
+from seqcode.models.polynat import PolyNat
 from seqcode.models.qext import A0, A1, QElem, qext_swap, std
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "UnknownAxiom",
     "check_axiom",
     "check_q_axioms",
-    "lex_le",
     "qext_swap",
     "run_axiom",
     "std",

@@ -3,7 +3,9 @@
 Checking is testing, not proving: each axiom runs over an exhaustive small
 box first and then over seeded random samples.  Each run seeds one
 generator with the budget's seed and draws every sample from it in order,
-so a report is a pure function of (model, axiom, budget).
+so a report is a pure function of (model, axiom, budget).  A draw below n
+is a rejection draw over getrandbits(n.bit_length()): the same values
+randrange(n) gives.
 A counterexample is re-evaluated before it is reported; reports never
 relay a violation the reporter has not reproduced.
 """
@@ -79,8 +81,17 @@ MAX_EXHAUSTIVE = 4096  # cap on assignments enumerated in the exhaustive phase
 _VARS = ("x", "y", "z")
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """randrange(n) as CPython 3.10-3.12 draws it: n.bit_length() bits, redrawn until below n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _sample_nat(rng: random.Random) -> int:
-    bits = rng.randrange(129)
+    bits = _below(rng.getrandbits, 129)
     return rng.getrandbits(bits) if bits else 0
 
 
@@ -93,17 +104,16 @@ def _polynat_box() -> tuple:
 
 
 def _sample_polynat(rng: random.Random) -> PolyNat:
-    degree = rng.randrange(6)
-    return PolyNat(tuple(rng.randrange(100) for _ in range(degree + 1)))
+    getrandbits = rng.getrandbits
+    cs = [_below(getrandbits, 100) for _ in range(_below(getrandbits, 6) + 1)]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return polynat._canonical(tuple(cs))
 
 
 def _sample_qext(rng: random.Random) -> qext.QElem:
-    r = rng.randrange(12)
-    if r == 0:
-        return qext.A0
-    if r == 1:
-        return qext.A1
-    return qext.std(rng.randrange(51))
+    r = _below(rng.getrandbits, 12)
+    return (qext.A0, qext.A1)[r] if r < 2 else qext._std(_below(rng.getrandbits, 51))
 
 
 NAT = Model(
@@ -180,7 +190,7 @@ def run_axiom(model: Model, ax: _axioms.Axiom,
             return _counterexample(model, ax, args, tested, budget.seed)
     rng, sample = random.Random(budget.seed), model.sample
     for _ in range(budget.samples):
-        args = tuple(sample(rng) for _ in range(arity))
+        args = tuple([sample(rng) for _ in range(arity)])
         tested += 1
         if not holds(model, args):
             return _counterexample(model, ax, args, tested, budget.seed)
@@ -216,7 +226,7 @@ def subtraction_counterexample() -> tuple[PolyNat, PolyNat]:
     0 - 1).
     """
     p, q = polynat.ONE, polynat.X
-    if not polynat.lex_le(p, q):
+    if not p <= q:
         raise RuntimeError("expected 1 <= X in the lexicographic order")
     if polynat.subtract(q, p) is not None:
         raise RuntimeError("expected z + 1 = X to be unsolvable")

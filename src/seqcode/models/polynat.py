@@ -24,11 +24,13 @@ class PolyNat:
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
         for c in cs:
+            if type(c) is not int:
+                raise TypeError(f"coefficients must be ints, got {c!r}")
             if c < 0:
                 raise ValueError(f"coefficients must be nonnegative, got {c}")
+        while cs and cs[-1] == 0:
+            cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
 
     @property
@@ -48,21 +50,33 @@ class PolyNat:
     def __lt__(self, other):
         if not isinstance(other, PolyNat):
             return NotImplemented
-        # no trailing zeros, so the longer list has the higher degree
-        return (len(self.coeffs), self.coeffs[::-1]) < (len(other.coeffs), other.coeffs[::-1])
+        a, b = self.coeffs, other.coeffs
+        return len(a) < len(b) if len(a) != len(b) else a[::-1] < b[::-1]
+
+    def __le__(self, other):
+        if not isinstance(other, PolyNat):
+            return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        return len(a) < len(b) if len(a) != len(b) else a[::-1] <= b[::-1]
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyNat(self.coefficient(i) + other.coefficient(i) for i in range(n))
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)  # tuple() of a list is exact; of a map it resizes and bloats free lists
+        for i, y in enumerate(b):
+            out[i] += y
+        return _canonical(tuple(out))
 
     def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return PolyNat()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyNat(out)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return _canonical(())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+        return _canonical(tuple(out))
 
     def __repr__(self):
         return f"PolyNat({self.coeffs!r})"
@@ -90,14 +104,17 @@ class PolyNat:
         return cls(parse_decimal(c) for c in arr)
 
 
+def _canonical(coeffs: tuple[int, ...]) -> PolyNat:
+    """A PolyNat on natural ints with no trailing zero, unchecked: sums and products
+    of PolyNats are such, since their top coefficients are sums or products of nonzero ones."""
+    p = object.__new__(PolyNat)
+    p.coeffs = coeffs
+    return p
+
+
 ZERO = PolyNat()
 ONE = PolyNat((1,))
 X = PolyNat((0, 1))
-
-
-def lex_le(p: PolyNat, q: PolyNat) -> bool:
-    """p <= q in the highest-coefficient-first order."""
-    return p <= q
 
 
 def subtract(p: PolyNat, q: PolyNat) -> Optional[PolyNat]:

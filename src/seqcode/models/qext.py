@@ -26,6 +26,8 @@ class QElem:
     n: int = 0                  # the standard value; forced to 0 for atoms
 
     def __post_init__(self):
+        if type(self.n) is not int or not (self.atom is None or type(self.atom) is int):
+            raise TypeError(f"atom and standard part must be ints, got {self.atom!r}, {self.n!r}")
         if self.atom not in (None, 0, 1):
             raise ValueError(f"atom must be None, 0, or 1, got {self.atom!r}")
         if self.atom is None and self.n < 0:
@@ -45,6 +47,13 @@ def std(n: int) -> QElem:
     return QElem(None, n)
 
 
+def _std(n: int) -> QElem:
+    """std(n) for a natural int n, without the checks or the frozen dataclass __init__."""
+    e = object.__new__(QElem)
+    e.__dict__.update(atom=None, n=n)
+    return e
+
+
 A0 = QElem(0, 0)
 A1 = QElem(1, 0)
 ZERO = std(0)
@@ -56,7 +65,7 @@ def add(x: QElem, y: QElem) -> QElem:
         return x
     if y.is_atom:
         return y
-    return std(x.n + y.n)
+    return _std(x.n + y.n)
 
 
 def mul(x: QElem, y: QElem) -> QElem:
@@ -64,7 +73,7 @@ def mul(x: QElem, y: QElem) -> QElem:
         return ZERO if y == ZERO else x
     if y.is_atom:
         return y
-    return std(x.n * y.n)
+    return _std(x.n * y.n)
 
 
 def succ(x: QElem) -> QElem:

@@ -253,6 +253,24 @@ def test_seq_contract_property(xs):
     assert seq_decode(h) == xs
 
 
+def _member(h: SeqHandle, z: int) -> bool:
+    return any(beta_total(h.w, i) == z for i in range(h.len))
+
+
+entries = st.one_of(st.integers(0, 3), st.integers(0, 2**256))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(entries, max_size=7), entries, entries)
+def test_append_adjoins_exactly_one_member(xs, y, z):
+    # Pudlak's adjunction: z is a member of s + y iff z is a member of s or z = y
+    s = seq_build(xs)
+    t = seq_append(s, y)
+    for cand in xs + [y, z, z + 1, 0]:
+        assert _member(t, cand) == (_member(s, cand) or cand == y)
+        assert not _member(seq_empty(), cand)
+
+
 def test_append_onto_non_code_starts_from_code_zero():
     non_code = 3
     assert not is_pair_code(non_code)

@@ -95,6 +95,27 @@ def test_qelem_validation():
         qext.QElem(0, 3)
 
 
+def test_qelem_takes_int_parts_only():
+    # std(1.5) used to build Std(1.5)
+    for build in (lambda: std(1.5), lambda: std(True), lambda: std("3"),
+                  lambda: qext.QElem(True, 0), lambda: qext.QElem(0.0, 0)):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_add_and_mul_agree_with_std_on_the_box():
+    for x in QEXT.box:
+        for y in QEXT.box:
+            for op, on_naturals in ((add, operator.add), (mul, operator.mul)):
+                got = op(x, y)
+                if x.is_atom or y.is_atom:
+                    assert got in (A0, A1, std(0))
+                    continue
+                want = std(on_naturals(x.n, y.n))
+                assert got == want and hash(got) == hash(want)
+                assert vars(got) == vars(want) and repr(got) == repr(want)
+
+
 # ---------------------------------------------------------------- engine
 
 
@@ -191,6 +212,40 @@ def test_sampled_violation_follows_one_stream():
         assert report.samples == len(_PLANTED.box) ** 2 + t
         found_at.append(t)
     assert max(found_at) > 1  # the stream carries on past the first sample
+
+
+# the samplers as they drew through randrange: the oracle for the stream test
+def _randrange_nat(rng):
+    bits = rng.randrange(129)
+    return rng.getrandbits(bits) if bits else 0
+
+
+def _randrange_polynat(rng):
+    degree = rng.randrange(6)
+    return PolyNat(tuple(rng.randrange(100) for _ in range(degree + 1)))
+
+
+def _randrange_qext(rng):
+    r = rng.randrange(12)
+    if r == 0:
+        return A0
+    if r == 1:
+        return A1
+    return std(rng.randrange(51))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 123])
+def test_samplers_draw_what_randrange_draws(seed):
+    for sampler, oracle in ((checker._sample_nat, _randrange_nat),
+                            (checker._sample_polynat, _randrange_polynat),
+                            (checker._sample_qext, _randrange_qext)):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(2500):
+            got, want = sampler(ours), oracle(theirs)
+            assert got == want and type(got) is type(want)
+            if isinstance(got, PolyNat):
+                assert got.coeffs == PolyNat(got.coeffs).coeffs  # canonical
+        assert ours.getstate() == theirs.getstate()  # the same number of draws
 
 
 # SHA-256 over the reports below, recorded before the sampled phase moved to

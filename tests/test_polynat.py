@@ -4,8 +4,10 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from seqcode.models.polynat import ONE, X, ZERO, PolyNat, lex_le, subtract
+from seqcode.models.polynat import ONE, X, ZERO, PolyNat, subtract
 
 
 def small_box():
@@ -24,6 +26,13 @@ def test_rejects_negative_coefficients():
         PolyNat((1, -2))
 
 
+def test_rejects_non_int_coefficients():
+    # a bool or a float used to pass: True serialised as "True", 1.5 crashed to_json
+    for bad in ((True,), (1.5,), (1, False), (2, 0.0), ("3",)):
+        with pytest.raises(TypeError):
+            PolyNat(bad)
+
+
 def test_degree():
     assert ZERO.degree == -1
     assert ONE.degree == 0
@@ -38,10 +47,10 @@ def test_add_and_mul_fixed_values():
 
 
 def test_lex_order_fixed_values():
-    assert lex_le(ONE, X)
-    assert not lex_le(X, PolyNat((2,)))
-    assert lex_le(PolyNat((5, 1)), PolyNat((0, 2)))  # degree ties, leading decides
-    assert lex_le(PolyNat((0, 1)), PolyNat((5, 1)))  # leading ties, constant decides
+    assert ONE <= X
+    assert not X <= PolyNat((2,))
+    assert PolyNat((5, 1)) <= PolyNat((0, 2))  # degree ties, leading decides
+    assert PolyNat((0, 1)) <= PolyNat((5, 1))  # leading ties, constant decides
 
 
 def test_order_is_total_and_antisymmetric_on_box():
@@ -105,3 +114,32 @@ def test_json_roundtrips_coefficients_past_the_int_str_cap():
     assert len(wire[0]) > 4300 and wire[1:] == ["0", "1"]
     assert PolyNat.from_json(wire) == p
     assert sys.get_int_max_str_digits() == cap
+
+
+# coefficient lists with zeros (trailing ones too) and big entries
+coeff_lists = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**70)), max_size=7)
+
+
+def order_key(p):
+    return (len(p.coeffs), p.coeffs[::-1])
+
+
+@given(coeff_lists, coeff_lists)
+def test_sum_and_product_match_the_validating_constructor(xs, ys):
+    n = max(len(xs), len(ys))
+    padded = [list(cs) + [0] * (n - len(cs)) for cs in (xs, ys)]
+    conv = [0] * (len(xs) + len(ys))
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            conv[i + j] += a * b
+    p, q = PolyNat(xs), PolyNat(ys)
+    for got, want in ((p + q, PolyNat([a + b for a, b in zip(*padded)])), (p * q, PolyNat(conv))):
+        assert got == want and type(got.coeffs) is tuple
+        assert PolyNat(got.coeffs).coeffs == got.coeffs and got.coeffs[-1:] != (0,)
+
+
+@given(coeff_lists, coeff_lists)
+def test_order_agrees_with_the_degree_first_key(xs, ys):
+    p, q = PolyNat(xs), PolyNat(ys)
+    kp, kq = order_key(p), order_key(q)
+    assert (p < q, p <= q, p > q, p >= q) == (kp < kq, kp <= kq, kp > kq, kp >= kq)
