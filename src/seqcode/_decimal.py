@@ -1,30 +1,54 @@
 """Decimal-string conversion for naturals of unbounded size.
 
-CPython caps int<->str conversion length by default; sequence codes
-legitimately run to thousands of digits, so these helpers raise the cap
-just enough for their own conversion and restore it afterwards.  Decimal
-strings are the only wire format for naturals here: no precision is ever
-lost, and only plain ASCII digits are accepted.
+The process-wide int-str cap is never read or changed, so conversion is
+thread-safe at any size: a number of more than 640 digits, the smallest
+cap CPython allows, is split in halves, recursively, at powers of ten
+computed per call, and only the pieces go through the builtin int() and
+str().  Decimal strings are the only wire format for naturals here: no
+precision is ever lost, and only plain ASCII digits are accepted.
 """
 
-import sys
+_PIECE = 640  # sys.int_info.str_digits_check_threshold
 
 
-def _convert(convert, value, digits: int):
-    # get_int_max_str_digits is missing on interpreters without the cap
-    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if not 0 < cap < digits:
-        return convert(value)
-    sys.set_int_max_str_digits(digits)
-    try:
-        return convert(value)
-    finally:
-        sys.set_int_max_str_digits(cap)
+def _powers(digits: int) -> list[tuple[int, int]]:
+    # (10**w, w), (10**2w, 2w), ... with w <= _PIECE and 2 * last width >= digits
+    width, levels = digits, 0
+    while width > _PIECE:
+        width, levels = (width + 1) // 2, levels + 1
+    powers = []
+    for level in range(levels):
+        powers.append((powers[-1][0] ** 2 if powers else 10**width, width << level))
+    return powers
+
+
+def _to_str(n: int, powers) -> str:
+    # str(n) for 0 <= n < 10**(2 * last width); each low half is zero-padded
+    if not powers:
+        return str(n)
+    (power, width), rest = powers[-1], powers[:-1]
+    if n < power:
+        return _to_str(n, rest)
+    high, low = divmod(n, power)
+    return _to_str(high, rest) + _to_str(low, rest).zfill(width)
+
+
+def _from_str(text: str, powers) -> int:
+    # int(text) for at most 2 * last width digits, one multiply-add per split
+    if not powers:
+        return int(text)
+    (power, width), rest = powers[-1], powers[:-1]
+    if len(text) <= width:
+        return _from_str(text, rest)
+    return _from_str(text[:-width], rest) * power + _from_str(text[-width:], rest)
 
 
 def decimal_str(n: int) -> str:
     """str(n), working for any number of digits."""
-    return _convert(str, n, n.bit_length() // 3 + 3)
+    if n < 0:
+        return "-" + decimal_str(-n)
+    # 0.30103 > log10(2), so this bounds the digit count from above
+    return _to_str(n, _powers(n.bit_length() * 30103 // 100000 + 1))
 
 
 def parse_decimal(text: str) -> int:
@@ -37,4 +61,4 @@ def parse_decimal(text: str) -> int:
         raise TypeError(f"expected a decimal string, got {type(text).__name__}")
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a decimal natural: {text!r}")
-    return _convert(int, text, len(text) + 1)
+    return _from_str(text, _powers(len(text)))

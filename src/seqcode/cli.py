@@ -4,7 +4,8 @@ Subcommands: encode, decode, append, verify-witness, check-axioms, demo.
 Big naturals cross this boundary as decimal strings only, all parsed by
 one argparse type.  Each subcommand takes only the flags it reads: --json
 where there is a text report to switch, --seed and --samples where there
-is sampling.  Output is byte-deterministic for a fixed command line and
+is sampling.  The parser is built once per process and reused by every
+``main`` call.  Output is byte-deterministic for a fixed command line and
 seed.
 
 Exit codes: 0 success (including expected counterexamples in demos),
@@ -14,6 +15,7 @@ Exit codes: 0 success (including expected counterexamples in demos),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -201,6 +203,7 @@ def _cmd_demo(args) -> int:
     return _cmd_demo_q_pairing(args)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")

@@ -236,17 +236,24 @@ def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
         raise PreconditionViolated(violation)
     if k == 0:
         return x
-    acc, prefix = rem(u, 1 + v), 1
-    for t in range(1, k + 1):
-        target = x if t == k else rem(u, 1 + (t + 1) * v)
+    # each old residue is read once; the result is checked against the same list
+    residues = [rem(u, 1 + t * v) for t in range(1, k + 1)] + [x]
+    acc = _recode(residues, vprime)
+    if any(rem(acc, 1 + t * vprime) != r for t, r in enumerate(residues, 1)):
+        witness = RecodeWitness(u, v, vprime, x, k, acc)
+        raise RuntimeError(f"recode failed its own contract: {witness}")
+    return acc
+
+
+def _recode(residues: list[int], vprime: int) -> int:
+    # the level loop of recode_extend: acc rem (1 + t*vprime) == residues[t-1]
+    acc, prefix = residues[0], 1
+    for t in range(1, len(residues)):
         prefix *= 1 + t * vprime
         # the p of product_inverse(t, vprime, t + 1), without its q
         inverse = math.prod(_factor_pair(s, t + 1, vprime // (t + 1 - s))[0]
                             for s in range(1, t + 1))
-        acc = acc + (target + acc * (t + 1) * vprime) * prefix * inverse
-    witness = RecodeWitness(u, v, vprime, x, k, acc)
-    if not witness.verify():  # recodings are never trusted from construction
-        raise RuntimeError(f"recode failed its own contract: {witness}")
+        acc = acc + (residues[t] + acc * (t + 1) * vprime) * prefix * inverse
     return acc
 
 

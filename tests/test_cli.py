@@ -256,3 +256,27 @@ def test_demo_json_mode():
 
 def test_unknown_subcommand_exits_2():
     assert run_cli("frobnicate").returncode == 2
+
+
+def test_the_parser_is_built_once_and_reused(tmp_path, capsys):
+    assert cli._build_parser() is cli._build_parser()
+    cert = witness.product_inverse(2, 6, 4).to_json()
+    cert["q"] = str(int(cert["q"]) + 1)
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(cert))
+    script = [
+        (["encode", "12x"], 2),
+        (["--help"], 0),
+        (["encode", "--json", "5"], 2),
+        (["encode", "5", "3"], 0),
+        (["append", "--len", "2", "--w", "5544", "--x", "9", "--json"], 0),
+        (["verify-witness", str(tampered)], 1),
+        (["check-axioms", "--model", "qext", "--samples", "0", "--json"], 0),
+    ]
+    first = {}
+    for argv, code in script + script[::-1] + script:
+        assert cli.main(argv) == code
+        out = capsys.readouterr().out
+        assert first.setdefault(tuple(argv), out) == out
+    assert first[("encode", "5", "3")] == '{"len":"2","w":"798336"}\n'
+    assert first[("verify-witness", str(tampered))] == "product-inverse: INVALID\n"
