@@ -44,7 +44,9 @@ def _from_str(text: str, powers) -> int:
 
 
 def decimal_str(n: int) -> str:
-    """str(n), working for any number of digits."""
+    """str(n), working for any number of digits; anything but an int raises TypeError."""
+    if type(n) is not int:
+        raise TypeError(f"expected an int, got {type(n).__name__}")
     if n < 0:
         return "-" + decimal_str(-n)
     # 0.30103 > log10(2), so this bounds the digit count from above

@@ -14,12 +14,13 @@ total.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from seqcode._decimal import decimal_str, parse_decimal
-from seqcode.witness import lcm_upto, recode_extend
+from seqcode.witness import _carries, lcm_upto, recode_extend
 
 
 class NotAPairCode(ValueError):
@@ -27,18 +28,16 @@ class NotAPairCode(ValueError):
 
 
 def _natural(n: int, what: str) -> int:
+    if type(n) is not int:
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"{what} must be nonnegative, got {n}")
     return n
 
 
-def isqrt(n: int) -> int:
-    """Floor square root: the unique s with s*s <= n < (s+1)*(s+1).
-
-    ``math.isqrt`` works on integers only and never touches floats, so it
-    is exact for naturals of any size.  Raises ValueError for n < 0.
-    """
-    return math.isqrt(_natural(n, "n"))
+# floor square root, the s with s*s <= n < (s+1)*(s+1): integer-only, so exact
+# at any size, and ValueError for n < 0
+isqrt = math.isqrt
 
 
 def pair(x: int, y: int) -> int:
@@ -180,12 +179,11 @@ def verify_seq_step(w: int, k: int, x: int, w_new: int) -> bool:
 
     True iff w_new decodes like w on every position below k and decodes to
     x at position k itself.  Each code is split once, so the check takes
-    two square roots, then compares one pair of remainders per position
-    until the first mismatch.
+    two square roots, then runs recode_extend's residue check on the old
+    entries followed by x, stopping at the first mismatch.
     """
     _natural(k, "k")
     u_new, v_new = _split(w_new)
-    if u_new % (1 + (k + 1) * v_new) != x:
-        return False
     u, v = _split(w)
-    return all(u_new % (1 + (i + 1) * v_new) == u % (1 + (i + 1) * v) for i in range(k))
+    old = (u % (1 + t * v) for t in range(1, k + 1))
+    return _carries(u_new, v_new, itertools.chain(old, [x]))

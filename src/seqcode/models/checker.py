@@ -179,19 +179,15 @@ def _counterexample(model: Model, ax: _axioms.Axiom, args: tuple,
 
 def run_axiom(model: Model, ax: _axioms.Axiom,
               budget: SampleBudget = SampleBudget()) -> AxiomReport:
-    """Exhaustive box, then samples in order from one Random(budget.seed); stop at a violation."""
+    """Exhaustive box, then samples from one Random(budget.seed), in one loop; stop at a violation."""
     if ax.needs_order and model.le is None:
         raise ValueError(f"axiom {ax.id} needs an order, but model {model.name} has none")
     holds, arity = ax.holds, ax.arity
-    tested = 0
-    for args in itertools.product(_exhaustive_box(model, arity), repeat=arity):
-        tested += 1
-        if not holds(model, args):
-            return _counterexample(model, ax, args, tested, budget.seed)
     rng, sample = random.Random(budget.seed), model.sample
-    for _ in range(budget.samples):
-        args = tuple([sample(rng) for _ in range(arity)])
-        tested += 1
+    boxed = itertools.product(_exhaustive_box(model, arity), repeat=arity)
+    sampled = (tuple([sample(rng) for _ in range(arity)]) for _ in range(budget.samples))
+    tested = 0  # an empty box with no samples tests nothing
+    for tested, args in enumerate(itertools.chain(boxed, sampled), 1):
         if not holds(model, args):
             return _counterexample(model, ax, args, tested, budget.seed)
     return AxiomReport(model.name, ax.id, tested, "pass", None, budget.seed)

@@ -14,9 +14,10 @@ touches.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from seqcode._decimal import decimal_str, parse_decimal
 
@@ -182,25 +183,27 @@ class InverseCertificate(_Witness):
 def product_inverse(k: int, v: int, i: int) -> InverseCertificate:
     """Build the inverse certificate for divisor_product(k, v) modulo 1 + i*v.
 
-    Built once, checked once at the boundary.  Level 0 is (u, p, q) =
-    (1, 1, 0).  Going from level t-1 to t multiplies in the factor 1 + t*v
-    and its closed-form inverse (whose z is v // (i - t), exact by
-    precondition) and recombines the quotient as q + q' + q*q'*(1 + i*v).
+    Built once, checked once at the boundary.  The inverse p is the product
+    of the closed-form inverses of the factors 1 + t*v (whose z is
+    v // (i - t), exact by precondition), and q is the exact quotient
+    (u*p - 1) // (1 + i*v), the only one the identity admits.
     """
     if i <= k:
         raise PreconditionViolated(f"need i > k, got i={i}, k={k}")
     for j in range(1, k + 1):
         if not divides(i - j, v):
             raise PreconditionViolated(f"i - {j} = {i - j} must divide v = {v}")
-    u, p, q = 1, 1, 0
-    modulus = 1 + i * v
-    for t in range(1, k + 1):
-        pprime, qprime = _factor_pair(t, i, v // (i - t))
-        u, p, q = u * (1 + t * v), p * pprime, q + qprime + q * qprime * modulus
-    cert = InverseCertificate(k=k, v=v, i=i, u=u, p=p, q=q)
+    u, p = divisor_product(k, v), _inverse(k, v, i)
+    cert = InverseCertificate(k=k, v=v, i=i, u=u, p=p, q=(u * p - 1) // (1 + i * v))
     if not cert.verify():  # certificates are never trusted from construction
         raise RuntimeError(f"inverse certificate failed its own identity: {cert}")
     return cert
+
+
+def _inverse(k: int, v: int, i: int) -> int:
+    # the inverse of divisor_product(k, v) modulo 1 + i*v, unchecked: the
+    # product of the factor inverses, each z = v // (i - t) exact by precondition
+    return math.prod(_factor_pair(t, i, v // (i - t))[0] for t in range(1, k + 1))
 
 
 def _recode_violation(v: int, vprime: int, x: int, k: int) -> str | None:
@@ -228,18 +231,16 @@ def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
     carries divisor_product(t, vprime), grown by one factor per level, so
     it is invisible to every position below t; times that product's
     closed-form inverse modulo 1 + (t+1)*vprime it is exactly 1 there,
-    which plants the level-t target.  The result is checked against the
-    contract once, before it is returned.
+    which plants the level-t target.  Every result, k = 0 included, is
+    checked against the contract once, before it is returned.
     """
     violation = _recode_violation(v, vprime, x, k)
     if violation:
         raise PreconditionViolated(violation)
-    if k == 0:
-        return x
     # each old residue is read once; the result is checked against the same list
     residues = [rem(u, 1 + t * v) for t in range(1, k + 1)] + [x]
     acc = _recode(residues, vprime)
-    if any(rem(acc, 1 + t * vprime) != r for t, r in enumerate(residues, 1)):
+    if not _carries(acc, vprime, residues):
         witness = RecodeWitness(u, v, vprime, x, k, acc)
         raise RuntimeError(f"recode failed its own contract: {witness}")
     return acc
@@ -250,11 +251,14 @@ def _recode(residues: list[int], vprime: int) -> int:
     acc, prefix = residues[0], 1
     for t in range(1, len(residues)):
         prefix *= 1 + t * vprime
-        # the p of product_inverse(t, vprime, t + 1), without its q
-        inverse = math.prod(_factor_pair(s, t + 1, vprime // (t + 1 - s))[0]
-                            for s in range(1, t + 1))
-        acc = acc + (residues[t] + acc * (t + 1) * vprime) * prefix * inverse
+        acc = acc + (residues[t] + acc * (t + 1) * vprime) * prefix * _inverse(t, vprime, t + 1)
     return acc
+
+
+def _carries(uprime: int, vprime: int, residues: Iterable[int]) -> bool:
+    # the append contract: uprime reads the t-th residue at 1 + t*vprime for
+    # every t, counted from 1; stops at the first mismatch
+    return all(uprime % (1 + t * vprime) == r for t, r in enumerate(residues, 1))
 
 
 @dataclass(frozen=True)
@@ -280,10 +284,8 @@ class RecodeWitness(_Witness):
             return False
         if self.vprime == 0:
             return True
-        for t in range(1, self.k + 1):
-            if rem(self.uprime, 1 + t * self.vprime) != rem(self.u, 1 + t * self.v):
-                return False
-        return rem(self.uprime, 1 + (self.k + 1) * self.vprime) == self.x
+        old = (rem(self.u, 1 + t * self.v) for t in range(1, self.k + 1))
+        return _carries(self.uprime, self.vprime, itertools.chain(old, [self.x]))
 
 
 _WITNESS_TYPES = {cls.tag: cls for cls in (FactorWitness, InverseCertificate, RecodeWitness)}

@@ -59,6 +59,7 @@ def test_pair_rejects_negatives():
 
 
 def test_isqrt_fixed_values():
+    assert isqrt is math.isqrt  # the stdlib root itself, not a wrapper
     assert isqrt(0) == 0
     assert isqrt(10) == 3
     assert isqrt(5544) == 74
@@ -360,3 +361,18 @@ def test_handle_rejects_negative_fields():
 def test_append_rejects_negative_entry():
     with pytest.raises(ValueError):
         seq_append(seq_empty(), -3)
+
+
+def test_naturals_must_be_ints():
+    # a float entry used to build SeqHandle(len=2, w=798336.0), and a bool
+    # length used to serialize as "True"
+    with pytest.raises(TypeError):
+        seq_build([5, 3.0])
+    with pytest.raises(TypeError):
+        SeqHandle(True, 5)
+    with pytest.raises(TypeError):
+        SeqHandle(2, 798336.0)
+    with pytest.raises(TypeError):
+        beta_total(5544, True)
+    with pytest.raises(TypeError):
+        verify_seq_step(0, 0.0, 7, 203)

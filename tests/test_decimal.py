@@ -33,6 +33,13 @@ def test_parse_decimal_rejects_non_strings(value):
         parse_decimal(value)
 
 
+@pytest.mark.parametrize("value", [True, False, 3.0])
+def test_decimal_str_rejects_non_ints(value):
+    # str(True) is "True" and str(3.0) is "3.0": neither is a wire natural
+    with pytest.raises(TypeError):
+        decimal_str(value)
+
+
 def test_big_conversions_restore_the_cap():
     cap = sys.get_int_max_str_digits()
     n = 7**20000  # about 16.9k digits, past the default cap of 4300

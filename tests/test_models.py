@@ -1,5 +1,6 @@
 """The two-atom model, the checking engine, and the cross-model verdicts."""
 
+import dataclasses
 import hashlib
 import itertools
 import operator
@@ -376,6 +377,13 @@ def test_q_axioms_hold_on_full_exhaustive_box():
 def test_models_registry():
     assert set(MODELS) == {"nat", "polynat", "qext"}
     assert MODELS["nat"] is NAT
+
+
+def test_run_axiom_on_an_empty_box_counts_only_samples():
+    empty = dataclasses.replace(NAT, name="empty", box=())
+    for samples in (0, 3):
+        report = run_axiom(empty, ax.REGISTRY["A2"], SampleBudget(samples, seed=5))
+        assert (report.verdict, report.samples) == ("pass", samples)
 
 
 def test_run_axiom_accepts_custom_statements():

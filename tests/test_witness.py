@@ -1,5 +1,6 @@
 """Divisor products, certified inverses, recoding, and the CRT cross-check."""
 
+import hashlib
 import json
 import math
 import random
@@ -9,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from seqcode import witness
+from seqcode.codec import pair, verify_seq_step
 from seqcode.witness import (
     DomainError,
     FactorWitness,
@@ -167,6 +169,20 @@ def test_product_inverse_sweep_small():
                 assert rem(cert.u * cert.p, 1 + i * v) == 1
 
 
+def test_product_inverse_certificates_are_pinned():
+    # golden SHA-256 over the compact JSON of 225 certificates, recorded while
+    # q was still recombined level by level: the exact quotient is the same q
+    blob = b""
+    for k in range(9):
+        for i in range(k + 1, k + 6):
+            base = math.lcm(*range(i - k, i))
+            for m in (0, 1, 2, 7, 2**64 + 13):
+                cert = product_inverse(k, base * m, i)
+                blob += json.dumps(cert.to_json(), separators=(",", ":")).encode()
+    digest = hashlib.sha256(blob).hexdigest()
+    assert digest == "a537112d55ea19b1c8d949ccf5fec84d62f8b9cfb5122d6b76f39e57a11e43b0"
+
+
 def test_certificate_verify_is_bounded_by_witness_size():
     huge = 10**11
     # v = 0: u = 1 and u*p == 1 + q, for any k below i, without a k-step loop
@@ -221,7 +237,7 @@ def test_recode_extend_fixed_case():
 
 def test_recode_extend_rejects_a_wrong_closed_form(monkeypatch):
     # the contract is checked once at the boundary, so a broken inverse
-    # surfaces as an error instead of a wrong code
+    # surfaces as an error instead of a wrong code or certificate
     closed_form = witness._factor_pair
 
     def wrong_pprime(*args):
@@ -231,6 +247,8 @@ def test_recode_extend_rejects_a_wrong_closed_form(monkeypatch):
     monkeypatch.setattr(witness, "_factor_pair", wrong_pprime)
     with pytest.raises(RuntimeError):
         recode_extend(68, 6, 60, 9, 2)
+    with pytest.raises(RuntimeError):
+        product_inverse(2, 6, 4)
 
 
 def test_recode_extend_preconditions():
@@ -249,6 +267,12 @@ def test_recode_witness_json_roundtrip():
     again = witness_from_json(wit.to_json())
     assert again == wit and again.verify()
     assert not RecodeWitness(68, 6, 60, 9, 2, uprime + 1).verify()
+
+
+def test_recode_witness_fields_must_be_ints():
+    # a bool u used to serialize as "True", which witness_from_json rejects
+    with pytest.raises(TypeError):
+        RecodeWitness(True, 0, 60, 0, 2, 0).to_json()
 
 
 def test_recode_witness_verify_checks_the_preconditions():
@@ -289,6 +313,31 @@ def test_recode_matches_crt_oracle_seeded():
                 assert math.gcd(moduli[a], moduli[b]) == 1
         reconstructed = crt(targets, moduli)
         assert [uprime % m for m in moduli] == [reconstructed % m for m in moduli] == targets
+
+
+def test_every_checker_rejects_each_broken_position(monkeypatch):
+    # shifting uprime by the product of every modulus but 1 + t*vprime breaks
+    # position t alone; the witness, the step check and recode_extend's own
+    # check must each reject it, and accept the unshifted code
+    rng = random.Random(4242)
+    for _ in range(12):
+        u, v, vprime, x, k = _random_recode_instance(rng)
+        uprime = recode_extend(u, v, vprime, x, k)
+        moduli = [1 + t * vprime for t in range(1, k + 2)]
+        for t in [None] + list(range(1, k + 2)):
+            shifted = uprime
+            if t is not None:
+                shifted += math.prod(moduli[:t - 1] + moduli[t:])
+            intact = t is None
+            assert RecodeWitness(u, v, vprime, x, k, shifted).verify() is intact
+            assert verify_seq_step(pair(u, v), k, x, pair(shifted, vprime)) is intact
+            monkeypatch.setattr(witness, "_recode", lambda residues, vp, acc=shifted: acc)
+            if intact:
+                assert recode_extend(u, v, vprime, x, k) == uprime
+            else:
+                with pytest.raises(RuntimeError):
+                    recode_extend(u, v, vprime, x, k)
+            monkeypatch.undo()
 
 
 # ---------------------------------------------------------------- crt
