@@ -20,19 +20,11 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from seqcode._decimal import decimal_str, parse_decimal
-from seqcode.witness import _carries, lcm_upto, recode_extend
+from seqcode.witness import _carries, _natural, lcm_upto, recode_extend
 
 
 class NotAPairCode(ValueError):
     """Raised when a number is not of the form (x + y)**2 + x."""
-
-
-def _natural(n: int, what: str) -> int:
-    if type(n) is not int:
-        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"{what} must be nonnegative, got {n}")
-    return n
 
 
 # floor square root, the s with s*s <= n < (s+1)*(s+1): integer-only, so exact

@@ -3,9 +3,9 @@
 Checking is testing, not proving: each axiom runs over an exhaustive small
 box first and then over seeded random samples.  Each run seeds one
 generator with the budget's seed and draws every sample from it in order,
-so a report is a pure function of (model, axiom, budget).  A draw below n
-is a rejection draw over getrandbits(n.bit_length()): the same values
-randrange(n) gives.
+so a report is a pure function of (model, axiom, budget).  The built-in
+samplers draw below n inline as randrange(n) does on CPython 3.10-3.13:
+getrandbits(n.bit_length()), redrawn while the result is at least n.
 A counterexample is re-evaluated before it is reported; reports never
 relay a violation the reporter has not reproduced.
 """
@@ -81,18 +81,11 @@ MAX_EXHAUSTIVE = 4096  # cap on assignments enumerated in the exhaustive phase
 _VARS = ("x", "y", "z")
 
 
-def _below(getrandbits: Callable[[int], int], n: int) -> int:
-    """randrange(n) as CPython 3.10-3.12 draws it: n.bit_length() bits, redrawn until below n."""
-    k = n.bit_length()
-    r = getrandbits(k)
-    while r >= n:
-        r = getrandbits(k)
-    return r
-
-
 def _sample_nat(rng: random.Random) -> int:
-    bits = _below(rng.getrandbits, 129)
-    return rng.getrandbits(bits) if bits else 0
+    getrandbits = rng.getrandbits
+    while (bits := getrandbits(8)) >= 129:
+        pass
+    return getrandbits(bits) if bits else 0
 
 
 def _polynat_box() -> tuple:
@@ -105,15 +98,27 @@ def _polynat_box() -> tuple:
 
 def _sample_polynat(rng: random.Random) -> PolyNat:
     getrandbits = rng.getrandbits
-    cs = [_below(getrandbits, 100) for _ in range(_below(getrandbits, 6) + 1)]
+    while (degree := getrandbits(3)) >= 6:
+        pass
+    cs = []
+    for _ in range(degree + 1):
+        while (c := getrandbits(7)) >= 100:
+            pass
+        cs.append(c)
     while cs and cs[-1] == 0:
         cs.pop()
     return polynat._canonical(tuple(cs))
 
 
 def _sample_qext(rng: random.Random) -> qext.QElem:
-    r = _below(rng.getrandbits, 12)
-    return (qext.A0, qext.A1)[r] if r < 2 else qext._std(_below(rng.getrandbits, 51))
+    getrandbits = rng.getrandbits
+    while (r := getrandbits(4)) >= 12:
+        pass
+    if r < 2:
+        return (qext.A0, qext.A1)[r]
+    while (n := getrandbits(6)) >= 51:
+        pass
+    return qext._std(n)
 
 
 NAT = Model(
@@ -134,9 +139,9 @@ POLYNAT = Model(
     name="polynat",
     zero=polynat.ZERO,
     one=polynat.ONE,
-    add=operator.add,
-    mul=operator.mul,
-    le=operator.le,
+    add=PolyNat.__add__,
+    mul=PolyNat.__mul__,
+    le=PolyNat.__le__,
     box=_polynat_box(),
     sample=_sample_polynat,
     fmt=lambda p: p.to_json(),
@@ -183,9 +188,11 @@ def run_axiom(model: Model, ax: _axioms.Axiom,
     if ax.needs_order and model.le is None:
         raise ValueError(f"axiom {ax.id} needs an order, but model {model.name} has none")
     holds, arity = ax.holds, ax.arity
-    rng, sample = random.Random(budget.seed), model.sample
     boxed = itertools.product(_exhaustive_box(model, arity), repeat=arity)
-    sampled = (tuple([sample(rng) for _ in range(arity)]) for _ in range(budget.samples))
+    # lazily, in C: one draw per variable, x then y then z, from one generator
+    draws = map(model.sample, itertools.repeat(random.Random(budget.seed)))
+    sampled = itertools.islice(zip(*[draws] * arity) if arity else itertools.repeat(()),
+                               budget.samples)
     tested = 0  # an empty box with no samples tests nothing
     for tested, args in enumerate(itertools.chain(boxed, sampled), 1):
         if not holds(model, args):

@@ -60,7 +60,10 @@ class PolyNat:
         return len(a) < len(b) if len(a) != len(b) else a[::-1] <= b[::-1]
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        try:
+            a, b = self.coeffs, other.coeffs
+        except AttributeError:  # not a PolyNat: let Python raise TypeError
+            return NotImplemented
         if len(a) < len(b):
             a, b = b, a
         out = list(a)  # tuple() of a list is exact; of a map it resizes and bloats free lists
@@ -69,7 +72,10 @@ class PolyNat:
         return _canonical(tuple(out))
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
+        try:
+            a, b = self.coeffs, other.coeffs
+        except AttributeError:
+            return NotImplemented
         if not a or not b:
             return _canonical(())
         out = [0] * (len(a) + len(b) - 1)

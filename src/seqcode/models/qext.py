@@ -61,17 +61,17 @@ ONE = std(1)
 
 
 def add(x: QElem, y: QElem) -> QElem:
-    if x.is_atom:
+    if x.atom is not None:
         return x
-    if y.is_atom:
+    if y.atom is not None:
         return y
     return _std(x.n + y.n)
 
 
 def mul(x: QElem, y: QElem) -> QElem:
-    if x.is_atom:
-        return ZERO if y == ZERO else x
-    if y.is_atom:
+    if x.atom is not None:
+        return ZERO if y.atom is None and y.n == 0 else x
+    if y.atom is not None:
         return y
     return _std(x.n * y.n)
 
@@ -89,7 +89,7 @@ def pred(x: QElem) -> Optional[QElem]:
 
 def qext_swap(x: QElem) -> QElem:
     """Swap the two atoms; identity on standard elements."""
-    if not x.is_atom:
+    if x.atom is None:
         return x
     return A1 if x.atom == 0 else A0
 

@@ -73,10 +73,22 @@ def divisor_product(k: int, v: int) -> int:
     return u
 
 
+def _natural(n: int, what: str) -> int:
+    if type(n) is not int:
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {n}")
+    return n
+
+
 class _Witness:
-    """The one wire form: the type tag, then every field in declaration order."""
+    """The one wire form: the type tag, then every field, a natural, in declaration order."""
 
     tag: ClassVar[str]
+
+    def __post_init__(self):
+        for f in fields(self):
+            _natural(getattr(self, f.name), f.name)
 
     def to_json(self) -> dict[str, str]:
         values = {f.name: decimal_str(getattr(self, f.name)) for f in fields(self)}

@@ -215,6 +215,43 @@ def test_sampled_violation_follows_one_stream():
     assert max(found_at) > 1  # the stream carries on past the first sample
 
 
+def _recording_run(arity, samples, fail_at, seed=3):
+    """run_axiom on a counting sampler and a statement that fails at sample fail_at."""
+    draws, seen = [], []
+
+    def sample(rng):
+        draws.append(rng.getrandbits(16))
+        return draws[-1]
+
+    def holds(model, args):
+        seen.append(args)
+        return len(seen) < fail_at  # the re-check of the violation fails too
+
+    model = dataclasses.replace(NAT, name="counting", box=(), sample=sample)
+    statement = ax.Axiom("FAILS_AT", arity, "fails at sample fail_at", False, holds)
+    return run_axiom(model, statement, SampleBudget(samples, seed)), draws, seen
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_sampled_assignments_are_drawn_lazily_in_variable_order(arity):
+    for fail_at in (1, 2, 7):
+        report, draws, seen = _recording_run(arity, samples=50, fail_at=fail_at)
+        rng = random.Random(3)
+        want = [tuple(rng.getrandbits(16) for _ in range(arity)) for _ in range(fail_at)]
+        assert seen[:fail_at] == want  # x, then y, then z, sample after sample
+        assert len(draws) == arity * fail_at  # nothing drawn past the violation
+        assert report.samples == fail_at and report.verdict == "counterexample"
+        assert report.counterexample == dict(zip("xyz", map(str, want[-1])))
+    report, draws, seen = _recording_run(arity, samples=0, fail_at=1)
+    assert (report.verdict, report.samples, draws, seen) == ("pass", 0, [], [])
+
+
+def test_closed_statements_count_every_sample():
+    # arity 0: the box gives the one empty assignment, each sample another
+    report, draws, seen = _recording_run(0, samples=7, fail_at=100)
+    assert (report.verdict, report.samples, draws, seen) == ("pass", 8, [], [()] * 8)
+
+
 # the samplers as they drew through randrange: the oracle for the stream test
 def _randrange_nat(rng):
     bits = rng.randrange(129)

@@ -1,6 +1,7 @@
 """The lexicographically ordered polynomial carrier."""
 
 import itertools
+import operator
 import sys
 
 import pytest
@@ -136,6 +137,17 @@ def test_sum_and_product_match_the_validating_constructor(xs, ys):
     for got, want in ((p + q, PolyNat([a + b for a, b in zip(*padded)])), (p * q, PolyNat(conv))):
         assert got == want and type(got.coeffs) is tuple
         assert PolyNat(got.coeffs).coeffs == got.coeffs and got.coeffs[-1:] != (0,)
+
+
+@pytest.mark.parametrize("other", [2, 2.5, "X", None])
+def test_arithmetic_with_a_non_polynat_raises_type_error(other):
+    p = PolyNat((1, 2))
+    for op in (operator.add, operator.mul):
+        with pytest.raises(TypeError):
+            op(p, other)
+        with pytest.raises(TypeError):
+            op(other, p)
+    assert p.__add__(other) is NotImplemented and p.__mul__(other) is NotImplemented
 
 
 @given(coeff_lists, coeff_lists)

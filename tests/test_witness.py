@@ -1,5 +1,6 @@
 """Divisor products, certified inverses, recoding, and the CRT cross-check."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,6 +9,7 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from intpoly import X  # tests/intpoly.py
 
 from seqcode import witness
 from seqcode.codec import pair, verify_seq_step
@@ -123,6 +125,17 @@ def test_factor_inverse_identity_property(kprime, gap, z):
     w = factor_inverse(kprime, i, z)
     v = z * (i - kprime)
     assert (1 + kprime * v) * w.pprime == 1 + (1 + i * v) * w.qprime
+
+
+def test_factor_inverse_identity_holds_in_the_polynomial_semiring():
+    # z = X turns the closed form into polynomials; equal coefficients make the
+    # identity hold for every z at once, in every commutative semiring
+    for i in range(2, 17):
+        for kprime in range(1, i):
+            pprime, qprime = witness._factor_pair(kprime, i, X)
+            assert min(pprime.coeffs + qprime.coeffs) >= 0  # both lie in N[X]
+            v = X * (i - kprime)
+            assert (1 + kprime * v) * pprime == 1 + (1 + i * v) * qprime
 
 
 def test_factor_witness_verify_rejects_tampering():
@@ -273,6 +286,23 @@ def test_recode_witness_fields_must_be_ints():
     # a bool u used to serialize as "True", which witness_from_json rejects
     with pytest.raises(TypeError):
         RecodeWitness(True, 0, 60, 0, 2, 0).to_json()
+
+
+def test_witness_fields_must_be_naturals():
+    # every field of every witness type is a natural, checked when the witness is made
+    with pytest.raises(TypeError):
+        RecodeWitness(68.0, 6, 60, 9, 2, recode_extend(68, 6, 60, 9, 2))
+    with pytest.raises(TypeError):
+        InverseCertificate(2, 6.0, 4, 1, 1, 1)
+    good = (factor_inverse(2, 5, 1), product_inverse(2, 6, 4),
+            RecodeWitness(68, 6, 60, 9, 2, recode_extend(68, 6, 60, 9, 2)))
+    for wit in good:
+        values = dataclasses.astuple(wit)
+        for pos, n in enumerate(values):
+            for bad, error in ((float(n), TypeError), (n == 1, TypeError), (-1 - n, ValueError)):
+                with pytest.raises(error):
+                    type(wit)(*values[:pos], bad, *values[pos + 1:])
+        assert type(wit)(*values) == wit and wit.verify()
 
 
 def test_recode_witness_verify_checks_the_preconditions():
