@@ -9,7 +9,8 @@ is sampling.  The parser is built once per process and reused by every
 seed.
 
 Exit codes: 0 success (including expected counterexamples in demos),
-1 failed verification or unexpected axiom verdict, 2 malformed input.
+1 failed verification or unexpected axiom verdict, 2 malformed input,
+a handle longer than MAX_LEN entries included.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
 
+# the longest handle encode, decode and append take: their cost grows faster
+# than k**2, and 48 entries of 64-bit values already code to ~101k digits
+MAX_LEN = 48
+
 
 def natural(text: str) -> int:
     """argparse type for every natural on the command line.
@@ -39,22 +44,30 @@ def natural(text: str) -> int:
     return parse_decimal(text)
 
 
+def _bounded(length: int) -> None:
+    if length > MAX_LEN:
+        raise ValueError(f"a handle holds at most MAX_LEN = {MAX_LEN} entries")
+
+
 def _print(obj) -> None:
     sys.stdout.write(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def _cmd_encode(args) -> int:
+    _bounded(len(args.values))
     _print(codec.seq_build(args.values).to_json())
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
+    _bounded(args.len)
     entries = codec.seq_decode(codec.SeqHandle(args.len, args.w))
     _print([decimal_str(x) for x in entries])
     return EXIT_OK
 
 
 def _cmd_append(args) -> int:
+    _bounded(args.len + 1)
     handle = codec.seq_append(codec.SeqHandle(args.len, args.w), args.x)
     verified = codec.verify_seq_step(args.w, args.len, args.x, handle.w)
     if args.json:

@@ -14,13 +14,12 @@ total.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable
 
 from seqcode._decimal import decimal_str, parse_decimal
-from seqcode.witness import _carries, _natural, lcm_upto, recode_extend
+from seqcode.witness import _carries, _natural, _residues, lcm_upto, recode_extend
 
 
 class NotAPairCode(ValueError):
@@ -171,11 +170,10 @@ def verify_seq_step(w: int, k: int, x: int, w_new: int) -> bool:
 
     True iff w_new decodes like w on every position below k and decodes to
     x at position k itself.  Each code is split once, so the check takes
-    two square roots, then runs recode_extend's residue check on the old
-    entries followed by x, stopping at the first mismatch.
+    two square roots; then the k old entries are read by ``_residues`` and
+    recode_extend's residue check compares every position, x at k included.
     """
     _natural(k, "k")
     u_new, v_new = _split(w_new)
     u, v = _split(w)
-    old = (u % (1 + t * v) for t in range(1, k + 1))
-    return _carries(u_new, v_new, itertools.chain(old, [x]))
+    return _carries(u_new, v_new, _residues(u, v, k) + [x])

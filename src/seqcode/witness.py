@@ -14,10 +14,9 @@ touches.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, fields
-from typing import ClassVar, Iterable, Sequence
+from typing import ClassVar, Sequence
 
 from seqcode._decimal import decimal_str, parse_decimal
 
@@ -244,13 +243,14 @@ def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
     it is invisible to every position below t; times that product's
     closed-form inverse modulo 1 + (t+1)*vprime it is exactly 1 there,
     which plants the level-t target.  Every result, k = 0 included, is
-    checked against the contract once, before it is returned.
+    checked against the contract once, before it is returned.  Each residue
+    family costs at most a constant times its direct remainders (``_residues``).
     """
     violation = _recode_violation(v, vprime, x, k)
     if violation:
         raise PreconditionViolated(violation)
     # each old residue is read once; the result is checked against the same list
-    residues = [rem(u, 1 + t * v) for t in range(1, k + 1)] + [x]
+    residues = _residues(u, v, k) + [x]
     acc = _recode(residues, vprime)
     if not _carries(acc, vprime, residues):
         witness = RecodeWitness(u, v, vprime, x, k, acc)
@@ -267,10 +267,25 @@ def _recode(residues: list[int], vprime: int) -> int:
     return acc
 
 
-def _carries(uprime: int, vprime: int, residues: Iterable[int]) -> bool:
+def _residues(u: int, v: int, k: int) -> list[int]:
+    # [u % (1 + t*v) for t = 1..k], read after one wide reduction of u modulo
+    # the divisor product, which every modulus divides; the product is grown
+    # a factor at a time and dropped once it exceeds u, where reducing would
+    # change nothing, so the reader costs at most a constant times k reads
+    product = 1
+    for t in range(1, k + 1):
+        product *= 1 + t * v
+        if product > u:
+            break
+    else:
+        u %= product
+    return [u % (1 + t * v) for t in range(1, k + 1)]
+
+
+def _carries(uprime: int, vprime: int, residues: list[int]) -> bool:
     # the append contract: uprime reads the t-th residue at 1 + t*vprime for
-    # every t, counted from 1; stops at the first mismatch
-    return all(uprime % (1 + t * vprime) == r for t, r in enumerate(residues, 1))
+    # every t, counted from 1; every position is read, a mismatch or not
+    return _residues(uprime, vprime, len(residues)) == residues
 
 
 @dataclass(frozen=True)
@@ -290,14 +305,14 @@ class RecodeWitness(_Witness):
 
         The cost is bounded by the witness size: vprime = 0 forces
         v = x = 0 and makes every modulus 1, and vprime >= 1 bounds k by
-        vprime's bit length.
+        vprime's bit length.  Each residue family, of u and of uprime, costs
+        at most a constant times its direct remainders (``_residues``).
         """
         if _recode_violation(self.v, self.vprime, self.x, self.k):
             return False
         if self.vprime == 0:
             return True
-        old = (rem(self.u, 1 + t * self.v) for t in range(1, self.k + 1))
-        return _carries(self.uprime, self.vprime, itertools.chain(old, [self.x]))
+        return _carries(self.uprime, self.vprime, _residues(self.u, self.v, self.k) + [self.x])
 
 
 _WITNESS_TYPES = {cls.tag: cls for cls in (FactorWitness, InverseCertificate, RecodeWitness)}

@@ -2,7 +2,9 @@
 
 A formula written with + and * over ints, evaluated at X, yields a polynomial;
 an equality of two such polynomials is an identity that holds at every
-integer substituted for X.
+integer substituted for X.  Exact division by an int (``//``) and evaluation
+at a rational point are there for formulas that divide by a standard integer
+and for divisibility tests by Gauss's lemma.
 """
 
 
@@ -33,6 +35,28 @@ class IntPoly:
             for j, y in enumerate(b, i):
                 out[j] += x * y
         return IntPoly(out)
+
+    def __neg__(self):
+        return IntPoly(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + -IntPoly.lift(other)
+
+    def __floordiv__(self, n):
+        # exact division by a nonzero int, coefficient by coefficient
+        assert all(c % n == 0 for c in self.coeffs), f"{n} does not divide {self}"
+        return IntPoly(c // n for c in self.coeffs)
+
+    def __call__(self, x):
+        """The value at x (an int or a Fraction), by Horner's rule."""
+        value = 0
+        for c in reversed(self.coeffs):
+            value = value * x + c
+        return value
+
+    def in_zx_plus(self):
+        """True iff self lies in Z[X]+: zero, or a positive leading coefficient."""
+        return not self.coeffs or self.coeffs[-1] > 0
 
     __radd__ = __add__
     __rmul__ = __mul__

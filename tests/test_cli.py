@@ -7,6 +7,7 @@ import sys
 import pytest
 
 from seqcode import cli, codec, witness
+from seqcode._decimal import decimal_str
 
 
 def run_cli(*args, stdin=None, timeout=300):
@@ -143,11 +144,49 @@ def test_verify_witness_cost_is_bounded_by_witness_size(text):
 def test_wide_product_certificate_is_rejected_quickly():
     # u = 2**2001 is far shorter than any product of 2000 factors 1 + t*v with
     # v = lcm(1..2000); building that product first took some 20 s
-    obj = {"type": "product-inverse", "k": "2000", "v": str(witness.lcm_upto(2000)),
-           "i": "2001", "u": str(2**2001), "p": "1", "q": "0"}
+    obj = {"type": "product-inverse", "k": "2000", "v": decimal_str(witness.lcm_upto(2000)),
+           "i": "2001", "u": decimal_str(2**2001), "p": "1", "q": "0"}
     out = run_cli("verify-witness", stdin=json.dumps(obj).encode(), timeout=10)
     assert out.returncode == 1
     assert out.stdout == b"product-inverse: INVALID\n"
+
+
+def test_wide_recode_witness_is_rejected_quickly():
+    # a divisor product of 2000 factors 1 + t*v with v = lcm(1..2000) would
+    # run to millions of bits; u = 3 is read without building it
+    v = witness.lcm_upto(2000)
+    wit = witness.RecodeWitness(u=3, v=v, vprime=v, x=0, k=2000, uprime=3)
+    out = run_cli("verify-witness", stdin=json.dumps(wit.to_json()).encode(), timeout=10)
+    assert out.returncode == 1
+    assert out.stdout == b"recode: INVALID\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["append", "--len", "100000", "--w", "3", "--x", "1"],
+    ["decode", "100000000000", "3"],
+    ["encode", *["1"] * 3000],
+])
+def test_handles_longer_than_max_len_exit_2_quickly(argv):
+    # each of these ran for minutes before the length bound
+    out = run_cli(*argv, timeout=10)
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert out.stderr == f"error: a handle holds at most MAX_LEN = {cli.MAX_LEN} entries\n".encode()
+
+
+def test_max_len_entries_are_admitted(capsys):
+    n = cli.MAX_LEN
+    assert cli.main(["encode", *["0"] * n]) == 0
+    handle = json.loads(capsys.readouterr().out)
+    assert handle["len"] == str(n)
+    assert cli.main(["decode", str(n), handle["w"]]) == 0
+    assert json.loads(capsys.readouterr().out) == ["0"] * n
+    assert cli.main(["append", "--len", str(n - 1), "--w", "3", "--x", "1", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    for argv in (["encode", *["0"] * (n + 1)], ["decode", str(n + 1), "3"],
+                 ["append", "--len", str(n), "--w", "3", "--x", "1"]):
+        assert cli.main(argv) == 2
+        assert "MAX_LEN" in capsys.readouterr().err
 
 
 def test_deeply_nested_witness_json_exits_2():

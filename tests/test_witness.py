@@ -5,14 +5,16 @@ import hashlib
 import json
 import math
 import random
+import time
+from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from intpoly import X  # tests/intpoly.py
+from intpoly import IntPoly, X  # tests/intpoly.py
 
-from seqcode import witness
-from seqcode.codec import pair, verify_seq_step
+from seqcode import codec, witness
+from seqcode.codec import pair, seq_append, seq_build, unpair, verify_seq_step
 from seqcode.witness import (
     DomainError,
     FactorWitness,
@@ -368,6 +370,88 @@ def test_every_checker_rejects_each_broken_position(monkeypatch):
                 with pytest.raises(RuntimeError):
                     recode_extend(u, v, vprime, x, k)
             monkeypatch.undo()
+
+
+def test_recode_level_loop_runs_in_the_nonstandard_model_zx_plus():
+    # _recode uses only +, * and // by a standard integer, so it runs on Z[X]+,
+    # where X rem 2 does not exist.  With vprime = L*X, L = lcm(1..k), the
+    # modulus 1 + t*L*X is primitive, so by Gauss's lemma it divides
+    # uprime - x_t in Z[X] iff both agree at -1/(t*L); the quotient then has
+    # the sign of uprime - x_t, and it must lie in Z[X]+ for x_t to be the
+    # remainder there.  Half the targets are nonstandard: a + b*X, 0 < b < t*L.
+    rng = random.Random(3141)
+    for k in range(9):
+        L = lcm_upto(k)
+        targets = []
+        for t in range(1, k + 2):
+            if t * L > 1 and rng.random() < 0.5:
+                targets.append(rng.randrange(-10**6, 10**6) + rng.randrange(1, t * L) * X)
+            else:
+                targets.append(IntPoly.lift(rng.getrandbits(64)))
+        uprime = witness._recode(targets, L * X)
+        for t, x_t in enumerate(targets, 1):
+            difference = uprime - x_t
+            assert difference(Fraction(-1, t * L)) == 0
+            assert difference.in_zx_plus()
+
+
+# ---------------------------------------------------------------- the residue reader
+
+
+def _direct_reads(u, v, k):
+    return [u % (1 + t * v) for t in range(1, k + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(0, 4000).flatmap(lambda bits: st.integers(0, 2**bits)),
+    st.integers(0, 2**80),
+    st.integers(0, 40),
+    st.sampled_from(["as drawn", "below the product", "above the product"]),
+)
+@example(u=0, v=0, k=0, where="as drawn")
+@example(u=5, v=0, k=40, where="as drawn")  # every modulus is 1
+@example(u=2**4000, v=1, k=40, where="as drawn")  # 41! is far below u
+@example(u=0, v=6, k=3, where="above the product")  # u is the product 7*13*19
+@example(u=2639, v=7, k=3, where="as drawn")  # one below the product 8*15*22
+@example(u=2641, v=7, k=3, where="as drawn")  # one above it
+def test_residues_equal_the_direct_reads(u, v, k, where):
+    product = divisor_product(k, v)
+    if where == "below the product":
+        u %= product
+    elif where == "above the product":
+        u += product
+    assert witness._residues(u, v, k) == _direct_reads(u, v, k)
+
+
+def test_each_step_check_reads_two_residue_families(monkeypatch):
+    h = seq_build(range(1, 9))
+    nxt = seq_append(h, 99)
+    (u, v), (uprime, vprime) = unpair(h.w), unpair(nxt.w)
+    families, roots = [], []
+    real_residues, real_isqrt = witness._residues, codec.isqrt
+
+    def counting(u, v, k):
+        families.append(k)
+        return real_residues(u, v, k)
+
+    monkeypatch.setattr(witness, "_residues", counting)
+    monkeypatch.setattr(codec, "_residues", counting)
+    monkeypatch.setattr(codec, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
+    assert verify_seq_step(h.w, h.len, 99, nxt.w)
+    assert families == [8, 9] and len(roots) == 2  # the old entries, then the new code
+    families.clear()
+    assert RecodeWitness(u, v, vprime, 99, 8, uprime).verify()
+    assert families == [8, 9]
+
+
+def test_a_wide_recode_witness_is_rejected_quickly():
+    # the divisor product of 2000 factors 1 + t*V would be some 6 million bits;
+    # the reader drops it at the first factor, which already exceeds u = 3
+    V = lcm_upto(2000)
+    start = time.perf_counter()
+    assert not RecodeWitness(u=3, v=V, vprime=V, x=0, k=2000, uprime=3).verify()
+    assert time.perf_counter() - start < 1.0
 
 
 # ---------------------------------------------------------------- crt
