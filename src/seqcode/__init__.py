@@ -35,7 +35,6 @@ from seqcode.witness import (
     NotCoprime,
     PreconditionViolated,
     RecodeWitness,
-    ZeroModulus,
     crt,
     divides,
     divisor_product,
@@ -43,7 +42,6 @@ from seqcode.witness import (
     lcm_upto,
     product_inverse,
     recode_extend,
-    rem,
     witness_from_json,
 )
 

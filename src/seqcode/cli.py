@@ -24,7 +24,7 @@ from seqcode import codec, witness
 from seqcode._decimal import decimal_str, parse_decimal
 from seqcode.models import checker
 from seqcode.models import polynat as polynat_mod
-from seqcode.models.axioms import CORE_AXIOMS, DERIVED_LAWS, SUBTRACTION
+from seqcode.models.axioms import DERIVED_LAWS, SUBTRACTION
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -101,15 +101,6 @@ def _cmd_verify_witness(args) -> int:
     return EXIT_OK if valid else EXIT_FAIL
 
 
-def _axiom_ids(args) -> list[str]:
-    ids = [ax.id for ax in CORE_AXIOMS]
-    if args.include_derived:
-        ids += [ax.id for ax in DERIVED_LAWS]
-    if args.include_subtraction:
-        ids.append(SUBTRACTION.id)
-    return ids
-
-
 def _expected_verdict(model: str, axiom: str) -> str:
     # the polynomial model has no subtraction; everything else must pass
     if model == "polynat" and axiom == "SUBTRACTION":
@@ -133,9 +124,11 @@ def _budget(args) -> checker.SampleBudget:
     return checker.SampleBudget(samples=args.samples, seed=args.seed)
 
 
-def _qext_reports(budget: checker.SampleBudget) -> list[checker.AxiomReport]:
-    # the atom model has no order: successor axioms plus the automorphism
-    return checker.check_q_axioms(budget) + [checker.verify_automorphism(budget)]
+def _reports(args, model: checker.Model, extra: tuple = ()) -> list[checker.AxiomReport]:
+    # the model's own statements, then any asked for; all are run before any
+    # is printed, so one the model cannot evaluate exits 2 with nothing on stdout
+    budget = _budget(args)
+    return [checker.run_axiom(model, ax, budget) for ax in model.statements + extra]
 
 
 def _emit_reports(reports: list[checker.AxiomReport], as_json: bool) -> int:
@@ -148,14 +141,8 @@ def _emit_reports(reports: list[checker.AxiomReport], as_json: bool) -> int:
 
 
 def _cmd_check_axioms(args) -> int:
-    budget = _budget(args)
-    if args.model == "qext":
-        reports = _qext_reports(budget)
-    else:
-        model = checker.MODELS[args.model]
-        reports = [checker.check_axiom(model, axiom_id, budget)
-                   for axiom_id in _axiom_ids(args)]
-    return _emit_reports(reports, args.json)
+    extra = args.include_derived + args.include_subtraction  # the statements each flag adds
+    return _emit_reports(_reports(args, checker.MODELS[args.model], extra), args.json)
 
 
 def _cmd_demo_subtraction(args) -> int:
@@ -200,7 +187,7 @@ counting step is this short text."""
 
 def _cmd_demo_q_pairing(args) -> int:
     # the check-axioms --model qext reports, framed by a header and the note
-    reports = _qext_reports(_budget(args))
+    reports = _reports(args, checker.QEXT)
     if args.json:
         return _emit_reports(reports, True)
     print("model qext: the naturals plus two absorbing atoms a0, a1")
@@ -254,9 +241,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-axioms", parents=[json_flag, sampling],
                        help="run axiom checks on a model")
     p.add_argument("--model", required=True, choices=sorted(checker.MODELS))
-    p.add_argument("--include-derived", action="store_true",
+    p.add_argument("--include-derived", action="store_const", const=DERIVED_LAWS, default=(),
                    help="also check the derived order/cancellation laws")
-    p.add_argument("--include-subtraction", action="store_true",
+    p.add_argument("--include-subtraction", action="store_const", const=(SUBTRACTION,), default=(),
                    help="also check the subtraction law")
     p.set_defaults(func=_cmd_check_axioms)
 

@@ -19,10 +19,8 @@ from seqcode.models.checker import (
     SampleBudget,
     UnknownAxiom,
     check_axiom,
-    check_q_axioms,
     run_axiom,
     subtraction_counterexample,
-    verify_automorphism,
 )
 from seqcode.models.polynat import PolyNat
 from seqcode.models.qext import A0, A1, QElem, qext_swap, std
@@ -48,10 +46,8 @@ __all__ = [
     "SampleBudget",
     "UnknownAxiom",
     "check_axiom",
-    "check_q_axioms",
     "qext_swap",
     "run_axiom",
     "std",
     "subtraction_counterexample",
-    "verify_automorphism",
 ]

@@ -44,7 +44,7 @@ class SampleBudget:
 
 @dataclass(frozen=True)
 class Model:
-    """A concrete carrier with its operations, sampler, and exhaustive box."""
+    """A concrete carrier: operations, sampler, exhaustive box, and the statements checked on it."""
 
     name: str
     zero: Any
@@ -57,6 +57,7 @@ class Model:
     fmt: Callable[[Any], Any]
     subtract: Optional[Callable[[Any, Any], Optional[Any]]] = None
     pred: Optional[Callable[[Any], Optional[Any]]] = None
+    statements: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -133,6 +134,7 @@ NAT = Model(
     fmt=str,
     subtract=lambda x, y: y - x if x <= y else None,
     pred=lambda x: x - 1 if x > 0 else None,
+    statements=_axioms.CORE_AXIOMS,
 )
 
 POLYNAT = Model(
@@ -146,6 +148,7 @@ POLYNAT = Model(
     sample=_sample_polynat,
     fmt=lambda p: p.to_json(),
     subtract=lambda x, y: polynat.subtract(y, x),
+    statements=_axioms.CORE_AXIOMS,
 )
 
 QEXT = Model(
@@ -159,6 +162,7 @@ QEXT = Model(
     sample=_sample_qext,
     fmt=qext.fmt,
     pred=qext.pred,
+    statements=_axioms.Q_AXIOMS + (_axioms.AUTOMORPHISM,),
 )
 
 MODELS = {m.name: m for m in (NAT, POLYNAT, QEXT)}
@@ -208,16 +212,6 @@ def check_axiom(model: Model, axiom_id: str,
     except KeyError:
         raise UnknownAxiom(axiom_id) from None
     return run_axiom(model, ax, budget)
-
-
-def check_q_axioms(budget: SampleBudget = SampleBudget()) -> list[AxiomReport]:
-    """Check the seven successor/addition/multiplication axioms on the atom model."""
-    return [run_axiom(QEXT, ax, budget) for ax in _axioms.Q_AXIOMS]
-
-
-def verify_automorphism(budget: SampleBudget = SampleBudget()) -> AxiomReport:
-    """Check that the atom swap is an involutive automorphism of the atom model."""
-    return run_axiom(QEXT, _axioms.AUTOMORPHISM, budget)
 
 
 def subtraction_counterexample() -> tuple[PolyNat, PolyNat]:

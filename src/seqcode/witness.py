@@ -21,10 +21,6 @@ from typing import ClassVar, Sequence
 from seqcode._decimal import decimal_str, parse_decimal
 
 
-class ZeroModulus(ZeroDivisionError):
-    """Remainder taken against modulus 0; no z < 0 can exist."""
-
-
 class DomainError(ValueError):
     """Arguments would force a difference below zero."""
 
@@ -37,16 +33,6 @@ class NotCoprime(ValueError):
     """CRT moduli share a nontrivial factor."""
 
 
-def rem(x: int, m: int) -> int:
-    """The unique z < m with x = z + q*m for some q.
-
-    Raises ZeroModulus for m = 0, where no such z exists.
-    """
-    if m == 0:
-        raise ZeroModulus("x rem 0 is undefined")
-    return x % m
-
-
 def divides(d: int, x: int) -> bool:
     """True iff x = q*d for some q; divides(0, x) holds only for x = 0."""
     if d == 0:
@@ -56,7 +42,7 @@ def divides(d: int, x: int) -> bool:
 
 def lcm_upto(k: int) -> int:
     """Least common multiple of 1..k (1 when k = 0)."""
-    return math.lcm(*range(2, k + 1)) if k >= 2 else 1
+    return math.lcm(*range(1, k + 1))
 
 
 def divisor_product(k: int, v: int) -> int:
@@ -66,10 +52,7 @@ def divisor_product(k: int, v: int) -> int:
     what lets ``recode_extend`` use it as a term that vanishes modulo all
     smaller-position moduli at once.
     """
-    u = 1
-    for t in range(1, k + 1):
-        u *= 1 + t * v
-    return u
+    return math.prod(1 + t * v for t in range(1, k + 1))
 
 
 def _natural(n: int, what: str) -> int:
@@ -119,11 +102,27 @@ class FactorWitness(_Witness):
         return self.z * (self.i - self.kprime)
 
     def verify(self) -> bool:
-        """Re-evaluate the defining identity from scratch."""
-        if self.kprime < 1 or self.i < self.kprime + 1:
+        """``factor_inverse``'s precondition, then the defining identity, from scratch."""
+        if _factor_violation(self.kprime, self.i):
             return False
         v = self.v
         return (1 + self.kprime * v) * self.pprime == 1 + (1 + self.i * v) * self.qprime
+
+
+def _factor_violation(kprime: int, i: int) -> str | None:
+    """Why ``factor_inverse(kprime, i, _)`` is undefined, or None: its one precondition rule."""
+    if kprime < 1:
+        return f"kprime must be at least 1, got {kprime}"
+    if i < kprime + 1:
+        return f"need i >= kprime + 1, got i={i} with kprime={kprime}"
+    return None
+
+
+def _checked(witness):
+    # witnesses are never trusted from construction
+    if not witness.verify():
+        raise RuntimeError(f"{witness.tag} witness failed its own identity: {witness}")
+    return witness
 
 
 def _factor_pair(kprime: int, i: int, z: int) -> tuple[int, int]:
@@ -143,14 +142,10 @@ def factor_inverse(kprime: int, i: int, z: int) -> FactorWitness:
     When i = kprime + 1 the z terms vanish and the pair collapses to
     (1 + kprime, kprime), which still satisfies the identity.
     """
-    if kprime < 1:
-        raise DomainError(f"kprime must be at least 1, got {kprime}")
-    if i < kprime + 1:
-        raise DomainError(f"need i >= kprime + 1, got i={i} with kprime={kprime}")
-    witness = FactorWitness(kprime, i, z, *_factor_pair(kprime, i, z))
-    if not witness.verify():  # witnesses are never trusted from construction
-        raise RuntimeError(f"factor witness failed its own identity: {witness}")
-    return witness
+    violation = _factor_violation(kprime, i)
+    if violation:
+        raise DomainError(violation)
+    return _checked(FactorWitness(kprime, i, z, *_factor_pair(kprime, i, z)))
 
 
 @dataclass(frozen=True)
@@ -171,24 +166,34 @@ class InverseCertificate(_Witness):
     q: int
 
     def verify(self) -> bool:
-        """Re-check every stated invariant by direct evaluation.
+        """``product_inverse``'s preconditions, then every stated invariant, by direct evaluation.
 
-        The cost is bounded by the witness size: v = 0 has a closed form,
-        and for v >= 1 every factor 1 + t*v is at least 2**m with
-        m = max(1, bits(v) - 1), so u >= 2**(k*m) is checked before the
-        divisor product is built.
+        The cost is bounded by the witness size: v = 0 has a closed form, and
+        for v >= 1 every factor 1 + t*v is at least 2**max(1, bits(v) - 1), so
+        u's length is checked before the k divisibility checks and the product.
         """
-        if self.i <= self.k:
+        if self.v and self.u.bit_length() <= self.k * max(1, self.v.bit_length() - 1):
+            return False
+        if _product_violation(self.k, self.v, self.i):
             return False
         if self.v == 0:
             return self.u == 1 and self.p == 1 + self.q
-        if self.u.bit_length() <= self.k * max(1, self.v.bit_length() - 1):
-            return False
-        if any(not divides(self.i - j, self.v) for j in range(1, self.k + 1)):
-            return False
         if self.u != divisor_product(self.k, self.v):
             return False
         return self.u * self.p == 1 + (1 + self.i * self.v) * self.q
+
+
+def _product_violation(k: int, v: int, i: int) -> str | None:
+    """Why ``product_inverse(k, v, i)`` is undefined, or None: its one precondition rule.
+
+    Every i - j divides v = 0, so for v = 0 only i > k is read, whatever k is.
+    """
+    if i <= k:
+        return f"need i > k, got i={i}, k={k}"
+    for j in range(1, k + 1) if v else ():
+        if not divides(i - j, v):
+            return f"i - {j} = {i - j} must divide v = {v}"
+    return None
 
 
 def product_inverse(k: int, v: int, i: int) -> InverseCertificate:
@@ -199,16 +204,11 @@ def product_inverse(k: int, v: int, i: int) -> InverseCertificate:
     v // (i - t), exact by precondition), and q is the exact quotient
     (u*p - 1) // (1 + i*v), the only one the identity admits.
     """
-    if i <= k:
-        raise PreconditionViolated(f"need i > k, got i={i}, k={k}")
-    for j in range(1, k + 1):
-        if not divides(i - j, v):
-            raise PreconditionViolated(f"i - {j} = {i - j} must divide v = {v}")
+    violation = _product_violation(k, v, i)
+    if violation:
+        raise PreconditionViolated(violation)
     u, p = divisor_product(k, v), _inverse(k, v, i)
-    cert = InverseCertificate(k=k, v=v, i=i, u=u, p=p, q=(u * p - 1) // (1 + i * v))
-    if not cert.verify():  # certificates are never trusted from construction
-        raise RuntimeError(f"inverse certificate failed its own identity: {cert}")
-    return cert
+    return _checked(InverseCertificate(k=k, v=v, i=i, u=u, p=p, q=(u * p - 1) // (1 + i * v)))
 
 
 def _inverse(k: int, v: int, i: int) -> int:

@@ -24,10 +24,10 @@ from seqcode.models import axioms as ax
 from seqcode.models.checker import (
     NAT,
     POLYNAT,
+    QEXT,
     SampleBudget,
     check_axiom,
-    check_q_axioms,
-    verify_automorphism,
+    run_axiom,
 )
 from seqcode.models.qext import qext_swap
 from seqcode.witness import (
@@ -37,7 +37,6 @@ from seqcode.witness import (
     lcm_upto,
     product_inverse,
     recode_extend,
-    rem,
 )
 
 
@@ -109,7 +108,7 @@ def test_acceptance_4_inverse_certificates():
             base = 1 if k == 0 else math.lcm(*[i - j for j in range(1, k + 1)])
             for v in range(base, 10**4 + 1, base):
                 cert = product_inverse(k, v, i)
-                if rem(cert.u * cert.p, 1 + i * v) != 1 or not cert.verify():
+                if cert.u * cert.p % (1 + i * v) != 1 or not cert.verify():
                     failures.append((k, v, i))
     _report(4, "inverse certificates over the sweep", failures)
 
@@ -126,7 +125,7 @@ def test_acceptance_5_recode_matches_crt_oracle():
         x = rng.randrange((k + 1) * vprime + 1)
         uprime = recode_extend(u, v, vprime, x, k)
         moduli = [1 + t * vprime for t in range(1, k + 2)]
-        targets = [rem(u, 1 + t * v) for t in range(1, k + 1)] + [x]
+        targets = [u % (1 + t * v) for t in range(1, k + 1)] + [x]
         coprime = all(
             math.gcd(moduli[a], moduli[b]) == 1
             for a in range(len(moduli)) for b in range(a + 1, len(moduli))
@@ -153,12 +152,11 @@ def test_acceptance_6_model_suite():
     if sub.verdict != "counterexample" or sub.counterexample != {"x": ["1"], "y": ["0", "1"]}:
         failures.append(("polynat", "SUBTRACTION", sub.verdict))
     q_budget = SampleBudget(samples=10**3, seed=601)
-    for report in check_q_axioms(q_budget):
+    for report in [run_axiom(QEXT, a, q_budget) for a in ax.Q_AXIOMS]:
         if not report.passed:
             failures.append(("qext", report.axiom))
-    if not verify_automorphism(q_budget).passed:
+    if not run_axiom(QEXT, ax.AUTOMORPHISM, q_budget).passed:
         failures.append(("qext", "AUTOMORPHISM"))
-    from seqcode.models.checker import QEXT
     for x in QEXT.box:
         if qext_swap(qext_swap(x)) != x:
             failures.append(("qext", "involution", x))

@@ -261,6 +261,20 @@ def test_check_axioms_qext():
     assert all(l["verdict"] == "pass" for l in lines)
 
 
+@pytest.mark.parametrize("flags, axiom", [
+    (["--include-derived"], "LE_ANTISYM"),
+    (["--include-subtraction"], "SUBTRACTION"),
+    (["--include-derived", "--include-subtraction"], "LE_ANTISYM"),
+])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_check_axioms_qext_rejects_statements_that_need_an_order(flags, axiom, as_json, capsys):
+    # qext has no order, so these statements cannot be evaluated on it
+    assert cli.main(["check-axioms", "--model", "qext", "--samples", "5", *flags, *as_json]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: axiom {axiom} needs an order, but model qext has none\n"
+
+
 def test_check_axioms_deterministic_output():
     args = ("check-axioms", "--model", "polynat", "--seed", "42",
             "--samples", "200", "--json")

@@ -1,0 +1,153 @@
+"""Fuzzing ``cli.main`` in process: every input ends in exit 0, 1 or 2, never a traceback.
+
+Two generators: argv lists (the six subcommands, known and unknown flags,
+junk tokens, naturals of up to 40 digits, and handles one entry over
+``MAX_LEN``) and witness JSON fed to ``verify-witness -`` through a
+replaced ``sys.stdin`` (each type tag, with fields that are decimal
+strings, ints, negatives, nested values, or missing).  Each example must
+finish within a time cap.  ``--samples`` stays at most 50: the sampled
+phase's cost is the budget the caller asks for.
+
+Out of scope: cost in a code's *width*.  The length of a handle is bounded
+by ``MAX_LEN``, but appending onto a code of some 100k digits still runs
+for minutes through the unreduced recoding; that is a known defect,
+listed among the open items of ROADMAP.md, and these naturals stay at 40
+digits.
+"""
+
+import contextlib
+import io
+import json
+import time
+from unittest import mock
+
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
+
+from seqcode import cli
+
+TIME_CAP_S = 2.0
+FUZZ = settings(deadline=None, max_examples=60)
+
+SUBCOMMANDS = ["encode", "decode", "append", "verify-witness", "check-axioms", "demo"]
+WORDS = SUBCOMMANDS + [
+    "--json", "--seed", "--len", "--w", "--x", "--model", "--include-derived",
+    "--include-subtraction", "--help", "--frobnicate", "--jsonx", "-z", "--", "-",
+    "nat", "polynat", "qext", "zpoly", "subtraction", "q-pairing",
+]
+naturals = st.integers(min_value=0, max_value=10**40 - 1)
+# junk never starts with "-", so it cannot abbreviate --samples, and has no
+# "/", so it cannot name a device file for verify-witness to open
+junk = st.text(st.characters(blacklist_characters="/"), max_size=8).filter(
+    lambda t: not t.startswith("-"))
+token = st.one_of(st.sampled_from(WORDS), naturals.map(str),
+                  st.integers(max_value=-1, min_value=-10**40).map(str), junk)
+small = st.integers(min_value=0, max_value=cli.MAX_LEN + 1).map(str)
+number = st.one_of(small, naturals.map(str))
+
+
+def _flag(name, values):
+    return values.map(lambda value: [name, value])
+
+
+def _maybe(argv):
+    return st.one_of(st.just([]), argv)
+
+
+def _joined(*parts):
+    return st.tuples(*parts).map(lambda lists: [t for part in lists for t in part])
+
+
+as_json = _maybe(st.just(["--json"]))
+sampling = _joined(as_json, _maybe(_flag("--seed", number)),
+                   _maybe(_flag("--samples", st.integers(min_value=0, max_value=50).map(str))))
+SHAPES = {
+    "encode": st.lists(number, max_size=11),
+    "decode": st.lists(number, min_size=2, max_size=2),
+    "append": _joined(_flag("--len", small), _flag("--w", number), _flag("--x", number), as_json),
+    "verify-witness": _joined(_maybe(st.just(["-"])), as_json),
+    "check-axioms": _joined(
+        _flag("--model", st.sampled_from(["nat", "polynat", "qext"])),
+        st.lists(st.sampled_from(["--include-derived", "--include-subtraction"]), unique=True),
+        sampling),
+    "demo": _joined(st.sampled_from([["subtraction"], ["q-pairing"]]), sampling),
+}
+
+
+@st.composite
+def argvs(draw):
+    # a well-formed command line, then up to three tokens inserted or dropped
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    argv = [command, *draw(SHAPES[command])]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        at = draw(st.integers(min_value=0, max_value=len(argv)))
+        if draw(st.booleans()) or at == len(argv):
+            argv.insert(at, draw(token))
+        else:
+            del argv[at]
+    # an edit may leave a wide natural after --samples: that budget is unbounded
+    assume(not any(t == "--samples" and n.isascii() and n.isdigit() and int(n) > 50
+                   for t, n in zip(argv, argv[1:])))
+    return argv
+
+
+def _run(argv, stdin=""):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with mock.patch("sys.stdin", io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert time.perf_counter() - start < TIME_CAP_S, argv
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+@FUZZ
+@given(argvs())
+@example(["encode", *["1"] * (cli.MAX_LEN + 1)])
+@example(["decode", str(cli.MAX_LEN + 1), "3"])
+@example(["append", "--len", str(cli.MAX_LEN), "--w", "3", "--x", "1", "--json"])
+@example(["check-axioms", "--model", "qext", "--include-derived", "--samples", "3"])
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    _run(argv)
+
+
+FIELDS = {
+    "factor-inverse": ("kprime", "i", "z", "pprime", "qprime"),
+    "product-inverse": ("k", "v", "i", "u", "p", "q"),
+    "recode": ("u", "v", "vprime", "x", "k", "uprime"),
+}
+MISSING = object()
+field_values = st.one_of(
+    naturals.map(str),
+    st.integers(min_value=0, max_value=12).map(str),
+    st.integers(min_value=-10**40, max_value=10**40),
+    st.integers(min_value=-10**40, max_value=-1).map(str),
+    st.lists(naturals.map(str), max_size=2),
+    st.dictionaries(st.text(max_size=3), naturals.map(str), max_size=2),
+    st.sampled_from([None, True, 1.5, "", "+3", " 3", "1_0"]),
+    st.just(MISSING),
+)
+
+
+@st.composite
+def witness_texts(draw):
+    tag = draw(st.sampled_from([*FIELDS, "mystery", MISSING]))
+    obj = {} if tag is MISSING else {"type": tag}
+    for name in FIELDS.get(tag, FIELDS["recode"]):
+        value = draw(field_values)
+        if value is not MISSING:
+            obj[name] = value
+    return json.dumps(draw(st.one_of(st.just(obj), st.lists(st.just(obj), max_size=1))))
+
+
+@FUZZ
+@given(witness_texts(), st.booleans())
+@example('{"type":"factor-inverse","kprime":"1","i":"2","z":"0","pprime":"2","qprime":"1"}', False)
+@example('{"type":"product-inverse","k":"1","v":"2","i":"3","u":"3","p":"5","q":"3"}', True)
+def test_any_witness_json_exits_0_1_or_2_without_a_traceback(text, as_json):
+    code, out, _ = _run(["verify-witness", "-", *["--json"] * as_json], stdin=text)
+    if code != 2:  # a verdict is printed exactly when the witness parsed
+        verdict = json.loads(out)["valid"] if as_json else out.endswith(": valid\n")
+        assert verdict == (code == 0)

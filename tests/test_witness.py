@@ -22,7 +22,6 @@ from seqcode.witness import (
     NotCoprime,
     PreconditionViolated,
     RecodeWitness,
-    ZeroModulus,
     crt,
     divides,
     divisor_product,
@@ -30,23 +29,11 @@ from seqcode.witness import (
     lcm_upto,
     product_inverse,
     recode_extend,
-    rem,
     witness_from_json,
 )
 
 
 # ---------------------------------------------------------------- basics
-
-
-def test_rem_fixed_values():
-    assert rem(68, 7) == 5
-    assert rem(68, 13) == 3
-    assert rem(123456, 1) == 0
-
-
-def test_rem_zero_modulus():
-    with pytest.raises(ZeroModulus):
-        rem(5, 0)
 
 
 def test_divides_fixed_values():
@@ -162,7 +149,7 @@ def test_product_inverse_fixed_values():
 
     cert = product_inverse(2, 6, 4)
     assert cert.u == 7 * 13
-    assert rem(cert.u * cert.p, 1 + 4 * 6) == 1
+    assert cert.u * cert.p % (1 + 4 * 6) == 1
     assert cert.verify()
 
 
@@ -181,7 +168,7 @@ def test_product_inverse_sweep_small():
                 v = diffs * mult
                 cert = product_inverse(k, v, i)
                 assert cert.verify()
-                assert rem(cert.u * cert.p, 1 + i * v) == 1
+                assert cert.u * cert.p % (1 + i * v) == 1
 
 
 def test_product_inverse_certificates_are_pinned():
@@ -245,9 +232,9 @@ def test_recode_extend_base_case():
 
 def test_recode_extend_fixed_case():
     uprime = recode_extend(68, 6, 60, 9, 2)
-    assert rem(uprime, 61) == rem(68, 7) == 5
-    assert rem(uprime, 121) == rem(68, 13) == 3
-    assert rem(uprime, 181) == 9
+    assert uprime % 61 == 68 % 7 == 5
+    assert uprime % 121 == 68 % 13 == 3
+    assert uprime % 181 == 9
 
 
 def test_recode_extend_rejects_a_wrong_closed_form(monkeypatch):
@@ -339,7 +326,7 @@ def test_recode_matches_crt_oracle_seeded():
         u, v, vprime, x, k = _random_recode_instance(rng)
         uprime = recode_extend(u, v, vprime, x, k)
         moduli = [1 + t * vprime for t in range(1, k + 2)]
-        targets = [rem(u, 1 + t * v) for t in range(1, k + 1)] + [x]
+        targets = [u % (1 + t * v) for t in range(1, k + 1)] + [x]
         for a in range(len(moduli)):
             for b in range(a + 1, len(moduli)):
                 assert math.gcd(moduli[a], moduli[b]) == 1
@@ -452,6 +439,90 @@ def test_a_wide_recode_witness_is_rejected_quickly():
     start = time.perf_counter()
     assert not RecodeWitness(u=3, v=V, vprime=V, x=0, k=2000, uprime=3).verify()
     assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------- one precondition rule per witness
+
+
+def _builder_and_verifier_agree(build, error, reason, expected, handmade, built):
+    # the builder raises exactly when the rule names a reason, and with that
+    # reason; the verifier then rejects a hand-made witness on the same inputs,
+    # and otherwise accepts what the builder made
+    assert bool(reason) == expected
+    if reason:
+        with pytest.raises(error) as info:
+            build()
+        assert str(info.value) == reason
+        assert not handmade().verify()
+    else:
+        assert built(build()).verify()
+
+
+def test_factor_builder_and_verifier_share_one_precondition():
+    for kprime in (0, 1, 2):
+        for i in (kprime, kprime + 1, kprime + 2):
+            for z in (0, 3):
+                # z = 0 keeps the closed form natural and the identity exact even
+                # where the precondition fails, so only the precondition can reject
+                pprime, qprime = witness._factor_pair(kprime, i, 0)
+                handmade = FactorWitness(kprime, i, 0, pprime, qprime)
+                assert (1 + kprime * handmade.v) * pprime == 1 + (1 + i * handmade.v) * qprime
+                _builder_and_verifier_agree(
+                    lambda: factor_inverse(kprime, i, z), DomainError,
+                    witness._factor_violation(kprime, i), kprime < 1 or i <= kprime,
+                    lambda: handmade, lambda w: w)
+
+
+def _inverse_or_one(u, m):
+    # the true inverse where it exists, so the identity holds and only the
+    # precondition can reject the hand-made certificate
+    return pow(u, -1, m) if m > 1 and math.gcd(u, m) == 1 else 1
+
+
+def test_product_builder_and_verifier_share_one_precondition():
+    cases = []
+    for k in range(5):
+        for i in (k, k + 1, k + 2):
+            diffs = [i - j for j in range(1, k + 1) if i - j > 0]
+            cases += [(k, 0, i), (k, 2 * math.lcm(*diffs), i)]
+            for d in diffs:  # one difference that does not divide v
+                v = math.lcm(*(e for e in diffs if e != d))
+                if v % d:
+                    cases.append((k, v, i))
+                    break
+    crossed = set()
+    for k, v, i in cases:
+        u, m = divisor_product(k, v), 1 + i * v
+        p = _inverse_or_one(u, m)
+        indivisible = any(v % (i - j) for j in range(1, k + 1) if i > j)
+        crossed.add((i <= k, indivisible))
+        _builder_and_verifier_agree(
+            lambda: product_inverse(k, v, i), PreconditionViolated,
+            witness._product_violation(k, v, i), i <= k or indivisible,
+            lambda: InverseCertificate(k, v, i, u, p, (u * p - 1) // m), lambda c: c)
+    assert crossed == {(False, False), (False, True), (True, False), (True, True)}
+
+
+def test_recode_builder_and_verifier_share_one_precondition():
+    cases = [
+        (68, 6, 7, 9, 2), (68, 6, 2, 1, 2), (68, 6, 60, 200, 0), (68, 6, 60, 9, 2),
+        (0, 61, 60, 0, 2), (0, 0, 59, 0, 2), (0, 0, 60, 0, 2), (0, 0, 2**40, 0, 41),
+        (5, 1, 0, 0, 3), (5, 0, 0, 1, 3), (5, 0, 0, 0, 3), (999, 11, 7000, 4321, 0),
+    ]
+    for u, v, vprime, x, k in cases:
+        moduli = [1 + t * vprime for t in range(1, k + 2)]
+        targets = [u % (1 + t * v) for t in range(1, k + 1)] + [x]
+        try:  # a code that meets the contract, where one exists
+            uprime = crt(targets, moduli)
+        except ValueError:
+            uprime = 0
+        expected = vprime < v or (k + 1) * vprime < x or (
+            vprime > 0 and any(vprime % t for t in range(1, k + 1)))
+        _builder_and_verifier_agree(
+            lambda: recode_extend(u, v, vprime, x, k), PreconditionViolated,
+            witness._recode_violation(v, vprime, x, k), expected,
+            lambda: RecodeWitness(u, v, vprime, x, k, uprime),
+            lambda w: RecodeWitness(u, v, vprime, x, k, w))
 
 
 # ---------------------------------------------------------------- crt
