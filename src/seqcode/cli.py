@@ -125,10 +125,13 @@ def _budget(args) -> checker.SampleBudget:
 
 
 def _reports(args, model: checker.Model, extra: tuple = ()) -> list[checker.AxiomReport]:
-    # the model's own statements, then any asked for; all are run before any
-    # is printed, so one the model cannot evaluate exits 2 with nothing on stdout
+    # the model's own statements, then any asked for, each checked against the
+    # model before any is run: one it cannot evaluate exits 2 at once, stdout empty
+    statements = model.statements + extra
+    for ax in statements:
+        checker.require_order(model, ax)
     budget = _budget(args)
-    return [checker.run_axiom(model, ax, budget) for ax in model.statements + extra]
+    return [checker.run_axiom(model, ax, budget) for ax in statements]
 
 
 def _emit_reports(reports: list[checker.AxiomReport], as_json: bool) -> int:

@@ -119,32 +119,42 @@ def seq_empty() -> SeqHandle:
     return SeqHandle(0, 0)
 
 
+def _extend(u: int, v: int, k: int, x: int) -> tuple[int, int]:
+    # one append to the k entries of (u, v): the rebase rule, then the checked
+    # recode_extend; returns (u1, v1), still unpaired
+    _natural(x, "x")
+    step = lcm_upto(k + 1)
+    v1 = ((max(v, x, 1) + step - 1) // step) * step
+    return recode_extend(u, v, v1, x, k), v1
+
+
 def seq_append(s: SeqHandle, x: int) -> SeqHandle:
     """Append x after position s.len - 1 without disturbing earlier entries.
 
-    The code is unpaired once into (u0, v0); an empty handle or a non-code
-    starts from (0, 0), i.e. code 0, which decodes to all zeros just as
-    ``beta_total`` reads a non-code.  Then it is rebased: the new modulus
-    base v1 is the least positive multiple of lcm(1..k+1) that is at least
-    max(v0, x).  Divisibility by every position gap keeps the moduli
-    pairwise coprime, and v1 >= x makes x a legal remainder at the new
-    position.
+    One step on the split form, then one ``pair``.  The code is unpaired
+    once into (u0, v0); an empty handle or a non-code starts from (0, 0),
+    i.e. code 0, which decodes to all zeros just as ``beta_total`` reads a
+    non-code.  Then it is rebased: the new modulus base v1 is the least
+    positive multiple of lcm(1..k+1) that is at least max(v0, x).
+    Divisibility by every position gap keeps the moduli pairwise coprime,
+    and v1 >= x makes x a legal remainder at the new position.
     """
-    _natural(x, "x")
     k = s.len
-    u0, v0 = _split(s.w) if k else (0, 0)
-    step = lcm_upto(k + 1)
-    v1 = ((max(v0, x, 1) + step - 1) // step) * step
-    u1 = recode_extend(u0, v0, v1, x, k)
+    u1, v1 = _extend(*(_split(s.w) if k else (0, 0)), k, x)
     return SeqHandle(k + 1, pair(u1, v1))
 
 
 def seq_build(xs: Iterable[int]) -> SeqHandle:
-    """Encode the given naturals by repeated ``seq_append``."""
-    handle = seq_empty()
+    """Encode the given naturals: the ``seq_append`` fold, code for code.
+
+    One checked step on the split form (u, v) per entry, from (0, 0), and
+    one ``pair`` at the end, so no code is unpaired.
+    """
+    u = v = k = 0
     for x in xs:
-        handle = seq_append(handle, x)
-    return handle
+        u, v = _extend(u, v, k, x)
+        k += 1
+    return SeqHandle(k, pair(u, v))
 
 
 def seq_decode(s: SeqHandle) -> list[int]:
@@ -174,6 +184,7 @@ def verify_seq_step(w: int, k: int, x: int, w_new: int) -> bool:
     recode_extend's residue check compares every position, x at k included.
     """
     _natural(k, "k")
+    _natural(x, "x")
     u_new, v_new = _split(w_new)
     u, v = _split(w)
     return _carries(u_new, v_new, _residues(u, v, k) + [x])

@@ -186,11 +186,16 @@ def _counterexample(model: Model, ax: _axioms.Axiom, args: tuple,
     return AxiomReport(model.name, ax.id, tested, "counterexample", assignment, seed)
 
 
+def require_order(model: Model, ax: _axioms.Axiom) -> None:
+    """Raise ValueError when ax needs an order and model has none; ``run_axiom``'s one refusal."""
+    if ax.needs_order and model.le is None:
+        raise ValueError(f"axiom {ax.id} needs an order, but model {model.name} has none")
+
+
 def run_axiom(model: Model, ax: _axioms.Axiom,
               budget: SampleBudget = SampleBudget()) -> AxiomReport:
     """Exhaustive box, then samples from one Random(budget.seed), in one loop; stop at a violation."""
-    if ax.needs_order and model.le is None:
-        raise ValueError(f"axiom {ax.id} needs an order, but model {model.name} has none")
+    require_order(model, ax)
     holds, arity = ax.holds, ax.arity
     boxed = itertools.product(_exhaustive_box(model, arity), repeat=arity)
     # lazily, in C: one draw per variable, x then y then z, from one generator

@@ -8,6 +8,7 @@ import pytest
 
 from seqcode import cli, codec, witness
 from seqcode._decimal import decimal_str
+from seqcode.models import checker
 
 
 def run_cli(*args, stdin=None, timeout=300):
@@ -267,12 +268,18 @@ def test_check_axioms_qext():
     (["--include-derived", "--include-subtraction"], "LE_ANTISYM"),
 ])
 @pytest.mark.parametrize("as_json", [[], ["--json"]])
-def test_check_axioms_qext_rejects_statements_that_need_an_order(flags, axiom, as_json, capsys):
-    # qext has no order, so these statements cannot be evaluated on it
+def test_check_axioms_qext_rejects_statements_that_need_an_order(flags, axiom, as_json,
+                                                               monkeypatch, capsys):
+    # qext has no order, so these statements cannot be evaluated on it; every
+    # statement is checked against the model before any is run
+    calls = []
+    real = checker.run_axiom
+    monkeypatch.setattr(checker, "run_axiom", lambda *a: calls.append(a) or real(*a))
     assert cli.main(["check-axioms", "--model", "qext", "--samples", "5", *flags, *as_json]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: axiom {axiom} needs an order, but model qext has none\n"
+    assert calls == []
 
 
 def test_check_axioms_deterministic_output():

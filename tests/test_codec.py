@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcode import codec
+from seqcode import codec, witness
 from seqcode._decimal import decimal_str
 from seqcode.codec import (
     NotAPairCode,
@@ -209,6 +209,22 @@ def test_verify_seq_step_splits_each_code_once(monkeypatch):
     assert len(calls) == 2  # one square root per code, not one per position
 
 
+def test_verify_seq_step_validates_the_entry():
+    # x goes through the same check as seq_append's entry: a float or a bool
+    # is a TypeError, a negative a ValueError, never a verdict
+    two = seq_build([4, 5])
+    three = seq_append(two, 9)
+    for w, k, x, w_new in [(0, 0, 7.0, 203), (0, 0, True, seq_append(seq_empty(), 1).w),
+                           (two.w, 2, 9.0, three.w)]:
+        with pytest.raises(TypeError):
+            seq_append(SeqHandle(k, w), x)
+        with pytest.raises(TypeError):
+            verify_seq_step(w, k, x, w_new)
+    with pytest.raises(ValueError):
+        verify_seq_step(0, 0, -1, 203)
+    assert verify_seq_step(two.w, 2, 9, three.w)
+
+
 def test_verify_seq_step_checks_every_position():
     h = seq_build(range(1, 9))
     nxt = seq_append(h, 99)
@@ -270,6 +286,42 @@ def test_append_adjoins_exactly_one_member(xs, y, z):
     for cand in xs + [y, z, z + 1, 0]:
         assert _member(t, cand) == (_member(s, cand) or cand == y)
         assert not _member(seq_empty(), cand)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1), st.integers(0, 2**256)),
+                max_size=10))
+def test_build_is_the_append_fold(xs):
+    # handle for handle: every prefix builds to the code its appends reach
+    h = seq_empty()
+    for k, x in enumerate(xs):
+        assert seq_build(xs[:k]) == h
+        h = seq_append(h, x)
+    assert seq_build(xs) == h
+    assert seq_build(iter(xs)) == h
+    assert seq_build(x for x in xs) == h
+
+
+def test_build_splits_no_code_and_checks_every_step(monkeypatch):
+    roots, recodes = [], []
+    real_isqrt, real_recode = codec.isqrt, codec.recode_extend
+    monkeypatch.setattr(codec, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
+    monkeypatch.setattr(codec, "recode_extend",
+                        lambda *a: recodes.append(a) or real_recode(*a))
+    h = seq_build(range(1, 9))
+    assert roots == []  # the steps carry (u, v), so no code is unpaired
+    assert len(recodes) == 8  # one checked recode per entry
+    assert seq_decode(h) == list(range(1, 9))
+
+
+def test_build_rejects_a_wrong_inverse(monkeypatch):
+    # every step's recode is checked against the contract, not trusted
+    real = witness._factor_pair
+    monkeypatch.setattr(witness, "_factor_pair", lambda *a: (real(*a)[0] + 1, real(*a)[1]))
+    with pytest.raises(RuntimeError):
+        seq_build(range(1, 9))
+    with pytest.raises(RuntimeError):
+        seq_build([3, 1])
 
 
 def test_append_onto_non_code_starts_from_code_zero():
