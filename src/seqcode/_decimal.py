@@ -2,9 +2,15 @@
 
 The process-wide int-str cap is never read or changed, so conversion is
 thread-safe at any size: a number of more than 640 digits, the smallest
-cap CPython allows, is split in halves, recursively, at powers of ten
-computed per call, and only the pieces go through the builtin int() and
-str().  Decimal strings are the only wire format for naturals here: no
+cap CPython allows, is split in halves, recursively, and only the pieces
+go through the builtin int() and str().  A split at 10**w is a split at
+5**w plus a binary shift, since 10**w = 5**w * 2**w: with
+q, r = divmod(n >> w, 5**w),
+
+    n = q * 10**w + (r << w | n & (2**w - 1)),
+
+and that low half is below 10**w.  Only the powers of five are computed,
+per call.  Decimal strings are the only wire format for naturals here: no
 precision is ever lost, and only plain ASCII digits are accepted.
 """
 
@@ -12,13 +18,13 @@ _PIECE = 640  # sys.int_info.str_digits_check_threshold
 
 
 def _powers(digits: int) -> list[tuple[int, int]]:
-    # (10**w, w), (10**2w, 2w), ... with w <= _PIECE and 2 * last width >= digits
+    # (5**w, w), (5**2w, 2w), ... with w <= _PIECE and 2 * last width >= digits
     width, levels = digits, 0
     while width > _PIECE:
         width, levels = (width + 1) // 2, levels + 1
     powers = []
     for level in range(levels):
-        powers.append((powers[-1][0] ** 2 if powers else 10**width, width << level))
+        powers.append((powers[-1][0] ** 2 if powers else 5**width, width << level))
     return powers
 
 
@@ -27,20 +33,22 @@ def _to_str(n: int, powers) -> str:
     if not powers:
         return str(n)
     (power, width), rest = powers[-1], powers[:-1]
-    if n < power:
+    high = n >> width
+    if high < power:  # n < 10**width
         return _to_str(n, rest)
-    high, low = divmod(n, power)
-    return _to_str(high, rest) + _to_str(low, rest).zfill(width)
+    q, r = divmod(high, power)
+    low = (r << width) | (n & ((1 << width) - 1))
+    return _to_str(q, rest) + _to_str(low, rest).zfill(width)
 
 
 def _from_str(text: str, powers) -> int:
-    # int(text) for at most 2 * last width digits, one multiply-add per split
+    # int(text) for at most 2 * last width digits, one multiply, shift and add per split
     if not powers:
         return int(text)
     (power, width), rest = powers[-1], powers[:-1]
     if len(text) <= width:
         return _from_str(text, rest)
-    return _from_str(text[:-width], rest) * power + _from_str(text[-width:], rest)
+    return ((_from_str(text[:-width], rest) * power) << width) + _from_str(text[-width:], rest)
 
 
 def decimal_str(n: int) -> str:

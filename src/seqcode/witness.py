@@ -14,6 +14,7 @@ touches.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence
@@ -75,6 +76,10 @@ class _Witness:
     def to_json(self) -> dict[str, str]:
         values = {f.name: decimal_str(getattr(self, f.name)) for f in fields(self)}
         return {"type": self.tag, **values}
+
+    def __str__(self) -> str:
+        # the wire form, any size: repr() of an int past the int-str cap raises
+        return json.dumps(self.to_json(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, obj: dict):

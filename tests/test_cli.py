@@ -82,6 +82,53 @@ def test_wire_format_is_pinned(capsys):
     assert capsys.readouterr().out == '{"len":"3","w":"5056582949723315928","verified":true}\n'
 
 
+def test_append_checks_its_step_once(monkeypatch, capsys):
+    # seq_append's checked recode is the one contract check: one square root
+    # (the old code's split) and two residue families (old entries, new code)
+    h = codec.seq_build([2**64 - 1 - i for i in range(8)])
+    expected = codec.seq_append(h, 99).to_json()
+    roots, families = [], []
+    real_isqrt, real_residues = codec.isqrt, witness._residues
+    monkeypatch.setattr(codec, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
+
+    def counted(*args):
+        families.append(args)
+        return real_residues(*args)
+
+    monkeypatch.setattr(witness, "_residues", counted)
+    monkeypatch.setattr(codec, "_residues", counted)  # codec imports it by name
+    assert cli.main(["append", "--len", "8", "--w", decimal_str(h.w), "--x", "99", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {**expected, "verified": True}
+    assert len(roots) == 1
+    assert len(families) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["append", "--len", "2", "--w", "5544", "--x", "9"],
+    ["append", "--len", "2", "--w", "5544", "--x", "9", "--json"],
+    ["encode", "5", "3", "4"],
+    # a code past the default int-str cap: the error still names its witness
+    ["append", "--len", "16", "--w", decimal_str(codec.seq_build(range(2**64, 2**64 + 16)).w),
+     "--x", "9"],
+])
+def test_a_failed_self_check_exits_1(argv, monkeypatch, capsys):
+    real = witness._factor_pair
+    monkeypatch.setattr(witness, "_factor_pair", lambda *a: (real(*a)[0] + 1, real(*a)[1]))
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: recode failed its own contract: {")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_recursion_error_is_not_a_failed_self_check(monkeypatch):
+    def too_deep(_):
+        raise RecursionError("maximum recursion depth exceeded")
+    monkeypatch.setattr(codec, "seq_build", too_deep)
+    with pytest.raises(RecursionError):
+        cli.main(["encode", "5"])
+
+
 def test_append_verifies():
     out = run_cli("append", "--len", "0", "--w", "0", "--x", "7", "--json")
     assert out.returncode == 0
@@ -98,13 +145,13 @@ def test_parse_failures_exit_2():
 def test_verify_witness_valid_and_tampered(tmp_path):
     cert = witness.product_inverse(2, 6, 4)
     good = tmp_path / "good.json"
-    good.write_text(json.dumps(cert.to_json()))
+    good.write_text(json.dumps(cert.to_json()), encoding="utf-8")
     assert run_cli("verify-witness", str(good)).returncode == 0
 
     tampered = cert.to_json()
     tampered["q"] = str(int(tampered["q"]) + 1)
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(tampered))
+    bad.write_text(json.dumps(tampered), encoding="utf-8")
     out = run_cli("verify-witness", str(bad))
     assert out.returncode == 1
     assert b"INVALID" in out.stdout
@@ -126,7 +173,7 @@ def test_verify_witness_stdin_and_garbage():
 ])
 def test_verify_witness_rejects_non_naturals(obj, tmp_path, capsys):
     path = tmp_path / "w.json"
-    path.write_text(json.dumps(obj))
+    path.write_text(json.dumps(obj), encoding="utf-8")
     assert cli.main(["verify-witness", str(path)]) == 2
     assert "malformed witness" in capsys.readouterr().err
 
@@ -323,7 +370,7 @@ def test_the_parser_is_built_once_and_reused(tmp_path, capsys):
     cert = witness.product_inverse(2, 6, 4).to_json()
     cert["q"] = str(int(cert["q"]) + 1)
     tampered = tmp_path / "tampered.json"
-    tampered.write_text(json.dumps(cert))
+    tampered.write_text(json.dumps(cert), encoding="utf-8")
     script = [
         (["encode", "12x"], 2),
         (["--help"], 0),

@@ -73,15 +73,23 @@ def test_conversions_work_under_the_smallest_cap():
         sys.set_int_max_str_digits(cap)
 
 
+# the low half of a 2k-digit q * 10**k + low, split at 10**k = 5**k * 2**k:
+# all zeros, all nines, and below 2**k, where the 5**k remainder is 0
+LOW_HALVES = {"q*10**k": lambda k: 0, "q*10**k+10**k-1": lambda k: 10**k - 1,
+              "q*10**k+2**k-1": lambda k: 2**k - 1}
+
 BOUNDARY_CASES = ([("digits", d) for d in (639, 640, 641, 1280, 1281)]
                   + [(kind, k) for k in (1, 639, 640, 641, 1279, 1280, 1281, 2560, 2561, 5000)
-                     for kind in ("10**k", "10**k-1")])
+                     for kind in ("10**k", "10**k-1")]
+                  + [(kind, k) for k in (640, 1280) for kind in LOW_HALVES])
 
 
 @pytest.mark.parametrize("kind,k", BOUNDARY_CASES)
 def test_piece_boundaries_match_the_builtins(kind, k):
     if kind == "digits":
         n = random.Random(k).randrange(10 ** (k - 1), 10**k)
+    elif kind in LOW_HALVES:
+        n = random.Random(k).randrange(10 ** (k - 1), 10**k) * 10**k + LOW_HALVES[kind](k)
     else:
         n = 10**k - (kind == "10**k-1")
     text = oracle_str(n)
