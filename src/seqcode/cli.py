@@ -11,7 +11,8 @@ seed.
 Exit codes: 0 success (including expected counterexamples in demos),
 1 failed verification, failed self-check (a witness or recoding that
 missed its own contract, a RuntimeError) or unexpected axiom verdict,
-2 malformed input, a handle longer than MAX_LEN entries included.
+2 malformed input, a handle longer than MAX_LEN entries or a --samples
+above MAX_SAMPLES included.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import sys
 
 from seqcode import codec, witness
 from seqcode._decimal import decimal_str, parse_decimal
-from seqcode.models import checker
-from seqcode.models import polynat as polynat_mod
+from seqcode.models import checker, polynat
 from seqcode.models.axioms import DERIVED_LAWS, SUBTRACTION
 
 EXIT_OK = 0
@@ -34,6 +34,10 @@ EXIT_USAGE = 2
 # the longest handle encode, decode and append take: their cost grows faster
 # than k**2, and 48 entries of 64-bit values already code to ~101k digits
 MAX_LEN = 48
+
+# the most samples check-axioms and demo draw per statement: at it the costliest
+# run (polynat, every statement) takes seconds, and a budget never runs unbounded
+MAX_SAMPLES = 100_000
 
 
 def natural(text: str) -> int:
@@ -122,17 +126,15 @@ def _emit_report(report: checker.AxiomReport, as_json: bool) -> None:
     print(line)
 
 
-def _budget(args) -> checker.SampleBudget:
-    return checker.SampleBudget(samples=args.samples, seed=args.seed)
-
-
-def _reports(args, model: checker.Model, extra: tuple = ()) -> list[checker.AxiomReport]:
-    # the model's own statements, then any asked for, each checked against the
-    # model before any is run: one it cannot evaluate exits 2 at once, stdout empty
-    statements = model.statements + extra
+def _reports(args, model: checker.Model, statements: tuple) -> list[checker.AxiomReport]:
+    # the budget and every statement are checked against the model before any
+    # is run: a --samples above MAX_SAMPLES or a statement the model cannot
+    # evaluate exits 2 at once, stdout empty
+    if args.samples > MAX_SAMPLES:
+        raise ValueError(f"--samples is at most MAX_SAMPLES = {MAX_SAMPLES}")
     for ax in statements:
         checker.require_order(model, ax)
-    budget = _budget(args)
+    budget = checker.SampleBudget(samples=args.samples, seed=args.seed)
     return [checker.run_axiom(model, ax, budget) for ax in statements]
 
 
@@ -146,20 +148,23 @@ def _emit_reports(reports: list[checker.AxiomReport], as_json: bool) -> int:
 
 
 def _cmd_check_axioms(args) -> int:
+    model = checker.MODELS[args.model]
     extra = args.include_derived + args.include_subtraction  # the statements each flag adds
-    return _emit_reports(_reports(args, checker.MODELS[args.model], extra), args.json)
+    return _emit_reports(_reports(args, model, model.statements + extra), args.json)
 
 
 def _cmd_demo_subtraction(args) -> int:
-    budget = _budget(args)
-    p, q = checker.subtraction_counterexample()
-    report = checker.check_axiom(checker.POLYNAT, "SUBTRACTION", budget)
-    control = checker.check_axiom(checker.NAT, "SUBTRACTION", budget)
+    # SUBTRACTION as check-axioms reports it on polynat and, as a control, on
+    # nat; the pair is the polynat counterexample, which the checker reproduced
+    report, control = (_reports(args, m, (SUBTRACTION,))[0] for m in (checker.POLYNAT, checker.NAT))
+    if report.counterexample != {"x": ["1"], "y": ["0", "1"]}:  # x = 1, y = X
+        raise RuntimeError(f"polynat SUBTRACTION reported {report.counterexample}, not 1, X")
+    p, q = (polynat.PolyNat.from_json(v) for v in report.counterexample.values())
     if args.json:
         _print({
-            "pair": {"x": p.to_json(), "y": q.to_json()},
+            "pair": report.counterexample,
             "order_holds": p <= q,
-            "solvable": polynat_mod.subtract(q, p) is not None,
+            "solvable": polynat.subtract(q, p) is not None,
             "polynat_verdict": report.verdict,
             "nat_verdict": control.verdict,
         })
@@ -173,8 +178,7 @@ def _cmd_demo_subtraction(args) -> int:
         _emit_report(control, False)
         print("conclusion: the polynomial model satisfies every listed semiring")
         print("axiom yet admits no subtraction, so predecessors need not exist.")
-    ok = (report.verdict == "counterexample" and control.verdict == "pass"
-          and report.counterexample == {"x": ["1"], "y": ["0", "1"]})
+    ok = all(r.verdict == _expected_verdict(r.model, r.axiom) for r in (report, control))
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -192,7 +196,7 @@ counting step is this short text."""
 
 def _cmd_demo_q_pairing(args) -> int:
     # the check-axioms --model qext reports, framed by a header and the note
-    reports = _reports(args, checker.QEXT)
+    reports = _reports(args, checker.QEXT, checker.QEXT.statements)
     if args.json:
         return _emit_reports(reports, True)
     print("model qext: the naturals plus two absorbing atoms a0, a1")

@@ -2,9 +2,10 @@
 
 Each entry is a closed universal statement in at most three variables; the
 checker supplies assignments and we evaluate the matrix.  Existential
-subformulas are decided exactly through model hooks (direct subtraction or
-predecessor computation), never by unbounded search, and any witness a
-hook produces is re-verified on the spot.
+subformulas are decided exactly through the model's one hook,
+``subtract(p, q)``, the z with z + q == p or None, never by unbounded
+search: SUBTRACTION asks it for y minus x and Q3 for x minus 1.  Any
+witness the hook produces is re-verified on the spot.
 """
 
 from __future__ import annotations
@@ -28,11 +29,14 @@ def _succ(m, x):
     return m.add(x, m.one)
 
 
+def _solves(m, p, q):
+    """Whether p - q exists: the hook's z, re-verified as z + q == p."""
+    z = m.subtract(p, q)
+    return z is not None and m.add(z, q) == p
+
+
 def _subtraction(m, a):
-    if not m.le(a[0], a[1]):
-        return True
-    z = m.subtract(a[0], a[1])
-    return z is not None and m.add(z, a[0]) == a[1]
+    return not m.le(a[0], a[1]) or _solves(m, a[1], a[0])
 
 
 CORE_AXIOMS = (
@@ -84,19 +88,13 @@ SUBTRACTION = Axiom("SUBTRACTION", 2, "x <= y -> exists z (z + x = y)", True, _s
 REGISTRY = {ax.id: ax for ax in CORE_AXIOMS + DERIVED_LAWS + (SUBTRACTION,)}
 
 
-def _q3(m, a):
-    if a[0] == m.zero:
-        return True
-    y = m.pred(a[0])
-    return y is not None and _succ(m, y) == a[0]
-
-
 Q_AXIOMS = (
     Axiom("Q1", 2, "S(x) = S(y) -> x = y", False,
           lambda m, a: _succ(m, a[0]) != _succ(m, a[1]) or a[0] == a[1]),
     Axiom("Q2", 1, "S(x) != 0", False,
           lambda m, a: _succ(m, a[0]) != m.zero),
-    Axiom("Q3", 1, "x != 0 -> exists y (x = S(y))", False, _q3),
+    Axiom("Q3", 1, "x != 0 -> exists y (x = S(y))", False,
+          lambda m, a: a[0] == m.zero or _solves(m, a[0], m.one)),
     Axiom("Q4", 1, "x + 0 = x", False,
           lambda m, a: m.add(a[0], m.zero) == a[0]),
     Axiom("Q5", 2, "x + S(y) = S(x + y)", False,

@@ -44,7 +44,9 @@ class SampleBudget:
 
 @dataclass(frozen=True)
 class Model:
-    """A concrete carrier: operations, sampler, exhaustive box, and the statements checked on it."""
+    """A concrete carrier: operations, sampler, exhaustive box, and the statements checked on it.
+
+    Existential statements have one hook, ``subtract(p, q)``: the z with z + q == p, or None."""
 
     name: str
     zero: Any
@@ -56,7 +58,6 @@ class Model:
     sample: Callable[[random.Random], Any]
     fmt: Callable[[Any], Any]
     subtract: Optional[Callable[[Any, Any], Optional[Any]]] = None
-    pred: Optional[Callable[[Any], Optional[Any]]] = None
     statements: tuple = ()
 
 
@@ -132,8 +133,7 @@ NAT = Model(
     box=tuple(range(12)),
     sample=_sample_nat,
     fmt=str,
-    subtract=lambda x, y: y - x if x <= y else None,
-    pred=lambda x: x - 1 if x > 0 else None,
+    subtract=lambda p, q: p - q if q <= p else None,
     statements=_axioms.CORE_AXIOMS,
 )
 
@@ -147,7 +147,7 @@ POLYNAT = Model(
     box=_polynat_box(),
     sample=_sample_polynat,
     fmt=lambda p: p.to_json(),
-    subtract=lambda x, y: polynat.subtract(y, x),
+    subtract=polynat.subtract,
     statements=_axioms.CORE_AXIOMS,
 )
 
@@ -161,7 +161,7 @@ QEXT = Model(
     box=(qext.A0, qext.A1) + tuple(qext.std(n) for n in range(51)),
     sample=_sample_qext,
     fmt=qext.fmt,
-    pred=qext.pred,
+    subtract=qext.subtract,
     statements=_axioms.Q_AXIOMS + (_axioms.AUTOMORPHISM,),
 )
 
@@ -217,19 +217,3 @@ def check_axiom(model: Model, axiom_id: str,
     except KeyError:
         raise UnknownAxiom(axiom_id) from None
     return run_axiom(model, ax, budget)
-
-
-def subtraction_counterexample() -> tuple[PolyNat, PolyNat]:
-    """The canonical witness that the polynomial order lacks subtraction.
-
-    Returns (p, q) with p <= q and no z satisfying z + p == q.  Both facts
-    are re-checked here: the order directly, the unsolvability through the
-    exact coefficient-wise decision (z's constant term would need to be
-    0 - 1).
-    """
-    p, q = polynat.ONE, polynat.X
-    if not p <= q:
-        raise RuntimeError("expected 1 <= X in the lexicographic order")
-    if polynat.subtract(q, p) is not None:
-        raise RuntimeError("expected z + 1 = X to be unsolvable")
-    return p, q

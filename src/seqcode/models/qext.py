@@ -80,11 +80,11 @@ def succ(x: QElem) -> QElem:
     return add(x, ONE)
 
 
-def pred(x: QElem) -> Optional[QElem]:
-    """Some y with succ(y) == x, or None; only 0 has no predecessor."""
-    if x.is_atom:
-        return x
-    return std(x.n - 1) if x.n > 0 else None
+def subtract(p: QElem, q: QElem) -> Optional[QElem]:
+    """Some z with z + q == p, or None: an atom p is p + q, a standard p needs q <= p standard."""
+    if p.atom is not None:
+        return p
+    return _std(p.n - q.n) if q.atom is None and q.n <= p.n else None
 
 
 def qext_swap(x: QElem) -> QElem:

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
+import dataclasses
 import json
 import subprocess
 import sys
@@ -273,6 +274,23 @@ def test_negative_samples_exit_2():
     assert cli.main(["demo", "subtraction", "--samples", "-1"]) == 2
 
 
+@pytest.mark.parametrize("samples", [cli.MAX_SAMPLES + 1, 10**30])
+@pytest.mark.parametrize("command", [["check-axioms", "--model", "nat"],
+                                     ["demo", "subtraction"], ["demo", "q-pairing"]])
+def test_samples_above_max_samples_exit_2(capsys, command, samples):
+    # 10**30 reached islice, which refuses a stop past sys.maxsize, and any
+    # smaller budget ran for as long as it asked
+    assert cli.main([*command, "--samples", str(samples), "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --samples is at most MAX_SAMPLES = {cli.MAX_SAMPLES}\n"
+
+
+def test_max_samples_is_admitted(capsys):
+    assert cli.main(["demo", "subtraction", "--samples", str(cli.MAX_SAMPLES), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["nat_verdict"] == "pass"
+
+
 @pytest.mark.parametrize("seed", ["-3", "+3", " 3", "3.0", ""])
 def test_seed_must_be_a_decimal_natural(seed):
     # Random(-3) draws what Random(3) draws, so a signed seed is malformed
@@ -342,6 +360,30 @@ def test_demo_subtraction_exits_zero():
     out = run_cli("demo", "subtraction", "--samples", "50")
     assert out.returncode == 0
     assert b"z0 + 1 = 0" in out.stdout
+
+
+@pytest.mark.parametrize("model, verdict, counterexample", [
+    ("polynat", "pass", None),  # no pair to explain: a failed self-check
+    ("polynat", "counterexample", {"x": ["1"], "y": ["0", "0", "1"]}),
+    ("nat", "counterexample", {"x": "1", "y": "0"}),  # the control fails
+])
+def test_demo_subtraction_exits_1_on_an_unexpected_report(
+        monkeypatch, capsys, model, verdict, counterexample):
+    real = checker.run_axiom
+
+    def run_axiom(m, ax, budget):
+        report = real(m, ax, budget)
+        if m.name != model:
+            return report
+        return dataclasses.replace(report, verdict=verdict, counterexample=counterexample)
+
+    monkeypatch.setattr(checker, "run_axiom", run_axiom)
+    assert cli.main(["demo", "subtraction", "--samples", "5"]) == 1
+    out, err = capsys.readouterr()
+    if model == "polynat":  # the pair is checked before anything is printed
+        assert (out, err) == ("", f"error: polynat SUBTRACTION reported {counterexample}, not 1, X\n")
+    else:
+        assert f"nat      SUBTRACTION      {verdict}" in out and err == ""
 
 
 def test_demo_q_pairing_exits_zero():

@@ -5,8 +5,9 @@ junk tokens, naturals of up to 40 digits, and handles one entry over
 ``MAX_LEN``) and witness JSON fed to ``verify-witness -`` through a
 replaced ``sys.stdin`` (each type tag, with fields that are decimal
 strings, ints, negatives, nested values, or missing).  Each example must
-finish within a time cap.  ``--samples`` stays at most 50: the sampled
-phase's cost is the budget the caller asks for.
+finish within a time cap.  ``--samples`` stays at most 50 or goes above
+``MAX_SAMPLES``, where it exits 2 at once: in between, the sampled phase's
+cost is the budget the caller asks for.
 
 Out of scope: cost in a code's *width*.  The length of a handle is bounded
 by ``MAX_LEN``, but appending onto a code of some 100k digits still runs
@@ -85,8 +86,10 @@ def argvs(draw):
             argv.insert(at, draw(token))
         else:
             del argv[at]
-    # an edit may leave a wide natural after --samples: that budget is unbounded
-    assume(not any(t == "--samples" and n.isascii() and n.isdigit() and int(n) > 50
+    # an edit may leave a wide natural after --samples: up to MAX_SAMPLES, that
+    # budget runs for as long as it asks
+    assume(not any(t == "--samples" and n.isascii() and n.isdigit()
+                   and 50 < int(n) <= cli.MAX_SAMPLES
                    for t, n in zip(argv, argv[1:])))
     return argv
 

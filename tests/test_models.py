@@ -21,10 +21,9 @@ from seqcode.models.checker import (
     _exhaustive_box,
     check_axiom,
     run_axiom,
-    subtraction_counterexample,
 )
 from seqcode.models.polynat import ONE, X, PolyNat
-from seqcode.models.qext import A0, A1, add, mul, pred, qext_swap, std, succ
+from seqcode.models.qext import A0, A1, add, mul, qext_swap, std, subtract, succ
 
 FAST = SampleBudget(samples=200, seed=7)
 
@@ -66,10 +65,14 @@ def test_successor_recursion_example():
     assert add(mul(std(2), A1), std(2)) == A1
 
 
-def test_pred():
-    assert pred(std(0)) is None
-    assert pred(std(8)) == std(7)
-    assert pred(A0) == A0
+def test_subtract():
+    # subtract(p, q) is the z with z + q == p
+    assert subtract(std(0), std(1)) is None
+    assert subtract(std(8), std(1)) == std(7)
+    assert subtract(std(8), std(8)) == std(0)
+    assert subtract(A0, std(1)) == A0
+    assert subtract(A1, A0) == A1
+    assert subtract(std(3), A0) is None
 
 
 def test_swap_fixed_values():
@@ -366,7 +369,8 @@ def test_subtraction_fails_on_polynat_with_canonical_pair():
 
 
 def test_subtraction_counterexample_is_one_and_x():
-    p, q = subtraction_counterexample()
+    report = check_axiom(POLYNAT, "SUBTRACTION", FAST)
+    p, q = (PolyNat.from_json(v) for v in report.counterexample.values())
     assert (p, q) == (ONE, X)
     assert p <= q
     # no candidate works: matching the constant coefficient is impossible
@@ -378,6 +382,26 @@ def test_q_axioms_pass_on_qext():
     assert [r.axiom for r in reports] == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7"]
     assert all(r.passed for r in reports)
     assert all(r.model == "qext" for r in reports)
+
+
+def test_q3_is_decided_by_subtract_on_every_model():
+    # X has no predecessor: z + 1 = X needs a constant term z0 + 1 = 0
+    report = run_axiom(POLYNAT, ax.Q_AXIOMS[2], FAST)
+    assert (report.verdict, report.counterexample) == ("counterexample", {"x": ["0", "1"]})
+    for model in (NAT, QEXT):
+        assert run_axiom(model, ax.Q_AXIOMS[2], FAST).passed
+
+
+@pytest.mark.parametrize("model", [NAT, POLYNAT, QEXT], ids=lambda m: m.name)
+def test_subtract_hook_is_exact_on_the_box(model):
+    # subtract(p, q) is some z with z + q == p, and None only when no z works
+    for p in model.box:
+        for q in model.box:
+            z = model.subtract(p, q)
+            if z is None:
+                assert all(model.add(c, q) != p for c in model.box), (p, q)
+            else:
+                assert model.add(z, q) == p, (p, q, z)
 
 
 def test_automorphism_verifies():
@@ -400,7 +424,7 @@ def test_q_axioms_hold_on_full_exhaustive_box():
         assert add(x, std(0)) == x
         assert mul(x, std(0)) == std(0)
         if x != std(0):
-            y = pred(x)
+            y = subtract(x, std(1))
             assert y is not None and succ(y) == x
         for y in box:
             if succ(x) == succ(y):
