@@ -133,7 +133,7 @@ def _reports(args, model: checker.Model, statements: tuple) -> list[checker.Axio
     if args.samples > MAX_SAMPLES:
         raise ValueError(f"--samples is at most MAX_SAMPLES = {MAX_SAMPLES}")
     for ax in statements:
-        checker.require_order(model, ax)
+        checker.require_hooks(model, ax)
     budget = checker.SampleBudget(samples=args.samples, seed=args.seed)
     return [checker.run_axiom(model, ax, budget) for ax in statements]
 

@@ -1,13 +1,14 @@
 """Seeded axiom checker over concrete models, with self-validating reports.
 
 Checking is testing, not proving: each axiom runs over an exhaustive small
-box first and then over seeded random samples.  Each run seeds one
-generator with the budget's seed and draws every sample from it in order,
-so a report is a pure function of (model, axiom, budget).  The built-in
-samplers draw below n inline as randrange(n) does on CPython 3.10-3.13:
-getrandbits(n.bit_length()), redrawn while the result is at least n.
-A counterexample is re-evaluated before it is reported; reports never
-relay a violation the reporter has not reproduced.
+box first and then over seeded random samples.  Each run opens one sample
+stream, ``model.draws(random.Random(budget.seed))``, so a report is a pure
+function of (model, axiom, budget).  The built-in streams are generators:
+opening one draws nothing, and each draw below n is made inline as
+randrange(n) makes it on CPython 3.10-3.13: getrandbits(n.bit_length()),
+redrawn while the result is at least n.  A counterexample is re-evaluated
+before it is reported; reports never relay a violation the reporter has
+not reproduced.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import operator
 import random
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 from seqcode.models import axioms as _axioms
 from seqcode.models import polynat, qext
@@ -44,9 +45,12 @@ class SampleBudget:
 
 @dataclass(frozen=True)
 class Model:
-    """A concrete carrier: operations, sampler, exhaustive box, and the statements checked on it.
+    """A concrete carrier: operations, sample stream, exhaustive box, and the statements checked on it.
 
-    Existential statements have one hook, ``subtract(p, q)``: the z with z + q == p, or None."""
+    ``draws(rng)`` opens an endless stream of elements drawn from rng; a per-draw
+    sampler f carries over as ``lambda rng: map(f, itertools.repeat(rng))``.  The hooks
+    ``le``, ``subtract(p, q)`` (the z with z + q == p, or None) and ``automorphism``
+    (a map on the carrier) may be None; statements that need a missing one are refused."""
 
     name: str
     zero: Any
@@ -55,9 +59,10 @@ class Model:
     mul: Callable[[Any, Any], Any]
     le: Optional[Callable[[Any, Any], bool]]
     box: tuple
-    sample: Callable[[random.Random], Any]
+    draws: Callable[[random.Random], Iterator[Any]]
     fmt: Callable[[Any], Any]
     subtract: Optional[Callable[[Any, Any], Optional[Any]]] = None
+    automorphism: Optional[Callable[[Any], Any]] = None
     statements: tuple = ()
 
 
@@ -81,13 +86,15 @@ class AxiomReport:
 
 MAX_EXHAUSTIVE = 4096  # cap on assignments enumerated in the exhaustive phase
 _VARS = ("x", "y", "z")
+_HOOK_NAMES = {"le": "an order", "subtract": "a subtraction", "automorphism": "an automorphism"}
 
 
-def _sample_nat(rng: random.Random) -> int:
+def _sample_nat(rng: random.Random) -> Iterator[int]:
     getrandbits = rng.getrandbits
-    while (bits := getrandbits(8)) >= 129:
-        pass
-    return getrandbits(bits) if bits else 0
+    while True:
+        while (bits := getrandbits(8)) >= 129:
+            pass
+        yield getrandbits(bits) if bits else 0
 
 
 def _polynat_box() -> tuple:
@@ -98,29 +105,32 @@ def _polynat_box() -> tuple:
     return tuple(sorted(elems))
 
 
-def _sample_polynat(rng: random.Random) -> PolyNat:
-    getrandbits = rng.getrandbits
-    while (degree := getrandbits(3)) >= 6:
-        pass
-    cs = []
-    for _ in range(degree + 1):
-        while (c := getrandbits(7)) >= 100:
+def _sample_polynat(rng: random.Random) -> Iterator[PolyNat]:
+    getrandbits, canonical = rng.getrandbits, polynat._canonical
+    while True:
+        while (degree := getrandbits(3)) >= 6:
             pass
-        cs.append(c)
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return polynat._canonical(tuple(cs))
+        cs = []
+        for _ in range(degree + 1):
+            while (c := getrandbits(7)) >= 100:
+                pass
+            cs.append(c)
+        while cs and cs[-1] == 0:
+            cs.pop()
+        yield canonical(tuple(cs))
 
 
-def _sample_qext(rng: random.Random) -> qext.QElem:
-    getrandbits = rng.getrandbits
-    while (r := getrandbits(4)) >= 12:
-        pass
-    if r < 2:
-        return (qext.A0, qext.A1)[r]
-    while (n := getrandbits(6)) >= 51:
-        pass
-    return qext._std(n)
+def _sample_qext(rng: random.Random) -> Iterator[qext.QElem]:
+    getrandbits, atoms, std = rng.getrandbits, (qext.A0, qext.A1), qext._std
+    while True:
+        while (r := getrandbits(4)) >= 12:
+            pass
+        if r < 2:
+            yield atoms[r]
+        else:
+            while (n := getrandbits(6)) >= 51:
+                pass
+            yield std(n)
 
 
 NAT = Model(
@@ -131,7 +141,7 @@ NAT = Model(
     mul=operator.mul,
     le=operator.le,
     box=tuple(range(12)),
-    sample=_sample_nat,
+    draws=_sample_nat,
     fmt=str,
     subtract=lambda p, q: p - q if q <= p else None,
     statements=_axioms.CORE_AXIOMS,
@@ -145,7 +155,7 @@ POLYNAT = Model(
     mul=PolyNat.__mul__,
     le=PolyNat.__le__,
     box=_polynat_box(),
-    sample=_sample_polynat,
+    draws=_sample_polynat,
     fmt=lambda p: p.to_json(),
     subtract=polynat.subtract,
     statements=_axioms.CORE_AXIOMS,
@@ -159,9 +169,10 @@ QEXT = Model(
     mul=qext.mul,
     le=None,
     box=(qext.A0, qext.A1) + tuple(qext.std(n) for n in range(51)),
-    sample=_sample_qext,
+    draws=_sample_qext,
     fmt=qext.fmt,
     subtract=qext.subtract,
+    automorphism=qext.qext_swap,
     statements=_axioms.Q_AXIOMS + (_axioms.AUTOMORPHISM,),
 )
 
@@ -186,20 +197,21 @@ def _counterexample(model: Model, ax: _axioms.Axiom, args: tuple,
     return AxiomReport(model.name, ax.id, tested, "counterexample", assignment, seed)
 
 
-def require_order(model: Model, ax: _axioms.Axiom) -> None:
-    """Raise ValueError when ax needs an order and model has none; ``run_axiom``'s one refusal."""
-    if ax.needs_order and model.le is None:
-        raise ValueError(f"axiom {ax.id} needs an order, but model {model.name} has none")
+def require_hooks(model: Model, ax: _axioms.Axiom) -> None:
+    """Raise ValueError when ax needs a hook model sets to None; ``run_axiom``'s one refusal."""
+    for hook in ax.needs:
+        if getattr(model, hook) is None:
+            raise ValueError(f"axiom {ax.id} needs {_HOOK_NAMES[hook]}, but model {model.name} has none")
 
 
 def run_axiom(model: Model, ax: _axioms.Axiom,
               budget: SampleBudget = SampleBudget()) -> AxiomReport:
     """Exhaustive box, then samples from one Random(budget.seed), in one loop; stop at a violation."""
-    require_order(model, ax)
+    require_hooks(model, ax)
     holds, arity = ax.holds, ax.arity
     boxed = itertools.product(_exhaustive_box(model, arity), repeat=arity)
-    # lazily, in C: one draw per variable, x then y then z, from one generator
-    draws = map(model.sample, itertools.repeat(random.Random(budget.seed)))
+    # lazily: one draw per variable, x then y then z, from one stream on one generator
+    draws = iter(model.draws(random.Random(budget.seed)))  # zip must share one iterator
     sampled = itertools.islice(zip(*[draws] * arity) if arity else itertools.repeat(()),
                                budget.samples)
     tested = 0  # an empty box with no samples tests nothing
@@ -211,7 +223,7 @@ def run_axiom(model: Model, ax: _axioms.Axiom,
 
 def check_axiom(model: Model, axiom_id: str,
                 budget: SampleBudget = SampleBudget()) -> AxiomReport:
-    """Check one axiom or derived law by id (see axioms.REGISTRY)."""
+    """Check one statement by id: any of axioms.REGISTRY, the Q axioms and AUTOMORPHISM too."""
     try:
         ax = _axioms.REGISTRY[axiom_id]
     except KeyError:

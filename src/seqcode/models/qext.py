@@ -50,7 +50,8 @@ def std(n: int) -> QElem:
 def _std(n: int) -> QElem:
     """std(n) for a natural int n, without the checks or the frozen dataclass __init__."""
     e = object.__new__(QElem)
-    e.__dict__.update(atom=None, n=n)
+    fields = e.__dict__
+    fields["atom"], fields["n"] = None, n
     return e
 
 
