@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from seqcode._decimal import decimal_str, parse_decimal
-from seqcode.witness import _carries, _natural, _residues, lcm_upto, recode_extend
+from seqcode.witness import _carries, _fold_step, _natural, _residues, lcm_upto, recode_extend
 
 
 class NotAPairCode(ValueError):
@@ -119,13 +119,11 @@ def seq_empty() -> SeqHandle:
     return SeqHandle(0, 0)
 
 
-def _extend(u: int, v: int, k: int, x: int) -> tuple[int, int]:
-    # one append to the k entries of (u, v): the rebase rule, then the checked
-    # recode_extend; returns (u1, v1), still unpaired
+def _rebase(v: int, k: int, x: int) -> int:
+    # the modulus base for appending x to k entries at base v
     _natural(x, "x")
     step = lcm_upto(k + 1)
-    v1 = ((max(v, x, 1) + step - 1) // step) * step
-    return recode_extend(u, v, v1, x, k), v1
+    return ((max(v, x, 1) + step - 1) // step) * step
 
 
 def seq_append(s: SeqHandle, x: int) -> SeqHandle:
@@ -140,21 +138,27 @@ def seq_append(s: SeqHandle, x: int) -> SeqHandle:
     and v1 >= x makes x a legal remainder at the new position.
     """
     k = s.len
-    u1, v1 = _extend(*(_split(s.w) if k else (0, 0)), k, x)
-    return SeqHandle(k + 1, pair(u1, v1))
+    u, v = _split(s.w) if k else (0, 0)
+    v1 = _rebase(v, k, x)
+    return SeqHandle(k + 1, pair(recode_extend(u, v, v1, x, k), v1))
 
 
 def seq_build(xs: Iterable[int]) -> SeqHandle:
     """Encode the given naturals: the ``seq_append`` fold, code for code.
 
     One checked step on the split form (u, v) per entry, from (0, 0), and
-    one ``pair`` at the end, so no code is unpaired.
+    one ``pair`` at the end, so no code is unpaired.  The fold carries its
+    entries and level prefix: a step whose base holds runs only the new
+    level of the recode, and every step is checked against the entries.
     """
-    u = v = k = 0
+    u = v = 0
+    entries, prefix = [], 1
     for x in xs:
-        u, v = _extend(u, v, k, x)
-        k += 1
-    return SeqHandle(k, pair(u, v))
+        v1 = _rebase(v, len(entries), x)
+        entries.append(x)
+        u, prefix = _fold_step(u, v, v1, entries, prefix)
+        v = v1
+    return SeqHandle(len(entries), pair(u, v))
 
 
 def seq_decode(s: SeqHandle) -> list[int]:

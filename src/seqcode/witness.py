@@ -256,20 +256,41 @@ def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
         raise PreconditionViolated(violation)
     # each old residue is read once; the result is checked against the same list
     residues = _residues(u, v, k) + [x]
-    acc = _recode(residues, vprime)
+    return _contract(u, v, vprime, residues, _recode(residues, vprime))
+
+
+def _fold_step(u: int, v: int, vprime: int, entries: list[int], prefix: int) -> tuple[int, int]:
+    # recode_extend for seq_build's fold, whose checked u is _recode(entries[:-1], v)
+    # and prefix prod(1 + t*v, t < k), k = len(entries) - 1: while the base holds
+    # (never at k = 0, where v = 0) only level k runs; checked against entries
+    violation = _recode_violation(v, vprime, entries[-1], len(entries) - 1)
+    if violation:
+        raise PreconditionViolated(violation)
+    start = (u, prefix, len(entries) - 1) if vprime == v else (entries[0], 1, 1)
+    acc, prefix = _levels(entries, vprime, *start)
+    return _contract(u, v, vprime, entries, acc), prefix
+
+
+def _contract(u: int, v: int, vprime: int, residues: list[int], acc: int) -> int:
+    # the self-check of every append step: acc carries residues, x last, at vprime
     if not _carries(acc, vprime, residues):
-        witness = RecodeWitness(u, v, vprime, x, k, acc)
+        witness = RecodeWitness(u, v, vprime, residues[-1], len(residues) - 1, acc)
         raise RuntimeError(f"recode failed its own contract: {witness}")
     return acc
 
 
 def _recode(residues: list[int], vprime: int) -> int:
-    # the level loop of recode_extend: acc rem (1 + t*vprime) == residues[t-1]
-    acc, prefix = residues[0], 1
-    for t in range(1, len(residues)):
+    # every level of the loop: acc rem (1 + t*vprime) == residues[t-1]
+    return _levels(residues, vprime, residues[0], 1, 1)[0]
+
+
+def _levels(residues: list[int], vprime: int, acc: int, prefix: int, level: int) -> tuple[int, int]:
+    # the loop from level on: acc reads residues[:level], prefix is the product
+    # of 1 + t*vprime over t < level; returns both as the last level leaves them
+    for t in range(level, len(residues)):
         prefix *= 1 + t * vprime
         acc = acc + (residues[t] + acc * (t + 1) * vprime) * prefix * _inverse(t, vprime, t + 1)
-    return acc
+    return acc, prefix
 
 
 def _residues(u: int, v: int, k: int) -> list[int]:

@@ -111,6 +111,8 @@ def test_append_checks_its_step_once(monkeypatch, capsys):
     # a code past the default int-str cap: the error still names its witness
     ["append", "--len", "16", "--w", decimal_str(codec.seq_build(range(2**64, 2**64 + 16)).w),
      "--x", "9"],
+    # the second step keeps the base v = 4, so it resumes the level loop
+    ["encode", "4", "1"],
 ])
 def test_a_failed_self_check_exits_1(argv, monkeypatch, capsys):
     real = witness._factor_pair

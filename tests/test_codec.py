@@ -6,7 +6,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqcode import codec, witness
@@ -27,6 +27,7 @@ from seqcode.codec import (
     unpair,
     verify_seq_step,
 )
+from seqcode.witness import lcm_upto
 
 
 def brute_force_codes(limit: int) -> set[int]:
@@ -288,11 +289,24 @@ def test_append_adjoins_exactly_one_member(xs, y, z):
         assert not _member(seq_empty(), cand)
 
 
+# a large first entry, then smaller ones: the base holds for most steps, and
+# for every step when the first entry is a multiple of lcm(1..10)
+base_holding = st.builds(
+    lambda first, rest: [first] + rest,
+    st.one_of(st.integers(2**64, 2**256), st.integers(1, 2**130).map(lambda m: m * lcm_upto(10))),
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1)), max_size=9))
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1), st.integers(0, 2**256)),
-                max_size=10))
+@given(st.one_of(
+    st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1), st.integers(0, 2**256)),
+             max_size=10),
+    base_holding))
+@example([lcm_upto(10) * 2**200] + [2**64 - 1, 0, 3, 1, 2**63, 2, 0, 1, 3])
+@example([0] * 10)
 def test_build_is_the_append_fold(xs):
-    # handle for handle: every prefix builds to the code its appends reach
+    # handle for handle: every prefix builds to the code its appends reach,
+    # steps that resume the level loop where the base holds included
     h = seq_empty()
     for k, x in enumerate(xs):
         assert seq_build(xs[:k]) == h
@@ -303,15 +317,27 @@ def test_build_is_the_append_fold(xs):
 
 
 def test_build_splits_no_code_and_checks_every_step(monkeypatch):
-    roots, recodes = [], []
-    real_isqrt, real_recode = codec.isqrt, codec.recode_extend
+    xs = list(range(1, 9))
+    # the rebase chain, read off the appended codes: v_k is the base of k entries
+    bases, h = [0], seq_empty()
+    for x in xs:
+        h = seq_append(h, x)
+        bases.append(unpair(h.w)[1])
+    assert [k for k in range(8) if bases[k + 1] == bases[k]] == [5]  # the base holds once
+    # a step from k entries runs level k alone where the base holds, else levels 1..k
+    levels = sum(1 if bases[k + 1] == bases[k] else k for k in range(8))
+    roots, checks, level_runs = [], [], []
+    real_isqrt, real_carries, real_inverse = codec.isqrt, witness._carries, witness._inverse
     monkeypatch.setattr(codec, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
-    monkeypatch.setattr(codec, "recode_extend",
-                        lambda *a: recodes.append(a) or real_recode(*a))
-    h = seq_build(range(1, 9))
+    monkeypatch.setattr(witness, "_carries",
+                        lambda u, vp, res: checks.append((vp, list(res))) or real_carries(u, vp, res))
+    monkeypatch.setattr(witness, "_inverse", lambda *a: level_runs.append(a) or real_inverse(*a))
+    h = seq_build(xs)
     assert roots == []  # the steps carry (u, v), so no code is unpaired
-    assert len(recodes) == 8  # one checked recode per entry
-    assert seq_decode(h) == list(range(1, 9))
+    # one full-contract check per entry, against every entry so far
+    assert checks == [(bases[k + 1], xs[:k + 1]) for k in range(8)]
+    assert len(level_runs) == levels == 24  # one _inverse per level run
+    assert seq_decode(h) == xs
 
 
 def test_build_rejects_a_wrong_inverse(monkeypatch):
@@ -322,6 +348,9 @@ def test_build_rejects_a_wrong_inverse(monkeypatch):
         seq_build(range(1, 9))
     with pytest.raises(RuntimeError):
         seq_build([3, 1])
+    # step 1 of [4, 1] keeps v = 4 and runs level 1 alone: it is checked too
+    with pytest.raises(RuntimeError, match="^recode failed its own contract: {"):
+        seq_build([4, 1])
 
 
 def test_append_onto_non_code_starts_from_code_zero():
@@ -342,6 +371,30 @@ def test_k24_code_is_pinned():
     h = seq_build([rng.getrandbits(64) for _ in range(24)])
     digest = hashlib.sha256(decimal_str(h.w).encode()).hexdigest()
     assert digest == "1492f84062d57de812ff71fd8c0a40371957d1f25485ad6591f427b1f89498fb"
+
+
+def _build_grid():
+    # k = 0..48 entries from {0..3} and 64-bit values, every third list ending
+    # in a ~2^200 entry; then shapes that hold the base: a large first entry
+    # (a multiple of lcm(1..k), or a 64-bit value) followed by smaller ones
+    rng = random.Random(1717)
+    for k in range(49):
+        xs = [rng.choice((rng.randrange(4), rng.getrandbits(64))) for _ in range(k)]
+        yield xs[:-1] + [rng.getrandbits(200)] if k % 3 == 1 else xs
+    for k in (2, 6, 12, 24):
+        yield [lcm_upto(k) * rng.getrandbits(130)] + [rng.getrandbits(64) for _ in range(k - 1)]
+    for k in (5, 17, 48):
+        yield [rng.getrandbits(64)] + [rng.randrange(4) for _ in range(k - 1)]
+
+
+def test_build_codes_of_a_seeded_grid_are_pinned():
+    # golden SHA-256 over every handle of the grid, about half of whose steps
+    # keep their base; a different digest is a wire change
+    digest = hashlib.sha256()
+    for xs in _build_grid():
+        h = seq_build(xs)
+        digest.update(f"{h.len}:{h.w:x}\n".encode())
+    assert digest.hexdigest() == "73efcf58e04c7cc1ecc3d84d0e7f65cb8ba754420d52cd24a2c6374fcbb8fda9"
 
 
 def test_seq_contract_seeded_random():
