@@ -54,6 +54,7 @@ def unpair(w: int) -> tuple[int, int]:
 
 def is_pair_code(w: int) -> bool:
     """True iff w = pair(x, y) for some x, y."""
+    _natural(w, "w")
     s = isqrt(w)
     return w - s * s <= s
 

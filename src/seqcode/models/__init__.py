@@ -22,4 +22,4 @@ from seqcode.models.checker import (
     run_axiom,
 )
 from seqcode.models.polynat import PolyNat
-from seqcode.models.qext import A0, A1, QElem, qext_swap, std
+from seqcode.models.qext import A0, A1, qext_swap

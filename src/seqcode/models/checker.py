@@ -50,7 +50,9 @@ class Model:
     ``draws(rng)`` opens an endless stream of elements drawn from rng; a per-draw
     sampler f carries over as ``lambda rng: map(f, itertools.repeat(rng))``.  The hooks
     ``le``, ``subtract(p, q)`` (the z with z + q == p, or None) and ``automorphism``
-    (a map on the carrier) may be None; statements that need a missing one are refused."""
+    (a map on the carrier) may be None; statements that need a missing one are refused.
+    ``fmt`` writes an element into a report: ``str`` by default, which prints ints and
+    qext's atom tokens as reports write them; polynat sets ``PolyNat.to_json``."""
 
     name: str
     zero: Any
@@ -60,7 +62,7 @@ class Model:
     le: Optional[Callable[[Any, Any], bool]]
     box: tuple
     draws: Callable[[random.Random], Iterator[Any]]
-    fmt: Callable[[Any], Any]
+    fmt: Callable[[Any], Any] = str
     subtract: Optional[Callable[[Any, Any], Optional[Any]]] = None
     automorphism: Optional[Callable[[Any], Any]] = None
     statements: tuple = ()
@@ -120,8 +122,8 @@ def _sample_polynat(rng: random.Random) -> Iterator[PolyNat]:
         yield canonical(tuple(cs))
 
 
-def _sample_qext(rng: random.Random) -> Iterator[qext.QElem]:
-    getrandbits, atoms, std = rng.getrandbits, (qext.A0, qext.A1), qext._std
+def _sample_qext(rng: random.Random) -> Iterator[int | str]:
+    getrandbits, atoms = rng.getrandbits, (qext.A0, qext.A1)
     while True:
         while (r := getrandbits(4)) >= 12:
             pass
@@ -130,7 +132,7 @@ def _sample_qext(rng: random.Random) -> Iterator[qext.QElem]:
         else:
             while (n := getrandbits(6)) >= 51:
                 pass
-            yield std(n)
+            yield n
 
 
 NAT = Model(
@@ -142,7 +144,6 @@ NAT = Model(
     le=operator.le,
     box=tuple(range(12)),
     draws=_sample_nat,
-    fmt=str,
     subtract=lambda p, q: p - q if q <= p else None,
     statements=_axioms.CORE_AXIOMS,
 )
@@ -156,7 +157,7 @@ POLYNAT = Model(
     le=PolyNat.__le__,
     box=_polynat_box(),
     draws=_sample_polynat,
-    fmt=lambda p: p.to_json(),
+    fmt=PolyNat.to_json,
     subtract=polynat.subtract,
     statements=_axioms.CORE_AXIOMS,
 )
@@ -168,9 +169,8 @@ QEXT = Model(
     add=qext.add,
     mul=qext.mul,
     le=None,
-    box=(qext.A0, qext.A1) + tuple(qext.std(n) for n in range(51)),
+    box=(qext.A0, qext.A1) + tuple(range(51)),
     draws=_sample_qext,
-    fmt=qext.fmt,
     subtract=qext.subtract,
     automorphism=qext.qext_swap,
     statements=_axioms.Q_AXIOMS + (_axioms.AUTOMORPHISM,),

@@ -1,5 +1,9 @@
 """The naturals extended by two absorbing atoms a0 and a1.
 
+An element is a natural ``int`` or one of the two atom tokens ``A0 = "a0"``
+and ``A1 = "a1"``; the operations branch on ``type(x) is str``, and ``str``
+prints both kinds as the reports write them.
+
 Operation tables, with n standard, a an atom, x arbitrary:
 
     a + x = a      n + a = a      n * a = a
@@ -14,86 +18,37 @@ makes the two atoms indistinguishable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
-
-@dataclass(frozen=True)
-class QElem:
-    """Element of the extended carrier: a standard natural or one of two atoms."""
-
-    atom: Optional[int] = None  # 0 or 1 picks an atom; None means standard
-    n: int = 0                  # the standard value; forced to 0 for atoms
-
-    def __post_init__(self):
-        if type(self.n) is not int or not (self.atom is None or type(self.atom) is int):
-            raise TypeError(f"atom and standard part must be ints, got {self.atom!r}, {self.n!r}")
-        if self.atom not in (None, 0, 1):
-            raise ValueError(f"atom must be None, 0, or 1, got {self.atom!r}")
-        if self.atom is None and self.n < 0:
-            raise ValueError(f"standard part must be nonnegative, got {self.n}")
-        if self.atom is not None and self.n != 0:
-            raise ValueError("atoms carry no standard part")
-
-    @property
-    def is_atom(self) -> bool:
-        return self.atom is not None
-
-    def __repr__(self):
-        return f"a{self.atom}" if self.is_atom else f"Std({self.n})"
+A0, A1 = "a0", "a1"
+ZERO, ONE = 0, 1
 
 
-def std(n: int) -> QElem:
-    return QElem(None, n)
-
-
-def _std(n: int) -> QElem:
-    """std(n) for a natural int n, without the checks or the frozen dataclass __init__."""
-    e = object.__new__(QElem)
-    fields = e.__dict__
-    fields["atom"], fields["n"] = None, n
-    return e
-
-
-A0 = QElem(0, 0)
-A1 = QElem(1, 0)
-ZERO = std(0)
-ONE = std(1)
-
-
-def add(x: QElem, y: QElem) -> QElem:
-    if x.atom is not None:
+def add(x: int | str, y: int | str) -> int | str:
+    if type(x) is str:
         return x
-    if y.atom is not None:
+    if type(y) is str:
         return y
-    return _std(x.n + y.n)
+    return x + y
 
 
-def mul(x: QElem, y: QElem) -> QElem:
-    if x.atom is not None:
-        return ZERO if y.atom is None and y.n == 0 else x
-    if y.atom is not None:
+def mul(x: int | str, y: int | str) -> int | str:
+    if type(x) is str:
+        return ZERO if y == 0 else x
+    if type(y) is str:
         return y
-    return _std(x.n * y.n)
+    return x * y
 
 
-def succ(x: QElem) -> QElem:
-    return add(x, ONE)
-
-
-def subtract(p: QElem, q: QElem) -> Optional[QElem]:
+def subtract(p: int | str, q: int | str) -> Optional[int | str]:
     """Some z with z + q == p, or None: an atom p is p + q, a standard p needs q <= p standard."""
-    if p.atom is not None:
+    if type(p) is str:
         return p
-    return _std(p.n - q.n) if q.atom is None and q.n <= p.n else None
+    return p - q if type(q) is not str and q <= p else None
 
 
-def qext_swap(x: QElem) -> QElem:
+def qext_swap(x: int | str) -> int | str:
     """Swap the two atoms; identity on standard elements."""
-    if x.atom is None:
+    if type(x) is not str:
         return x
-    return A1 if x.atom == 0 else A0
-
-
-def fmt(x: QElem) -> str:
-    return f"a{x.atom}" if x.is_atom else str(x.n)
+    return A1 if x == A0 else A0

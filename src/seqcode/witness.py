@@ -250,7 +250,10 @@ def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
     which plants the level-t target.  Every result, k = 0 included, is
     checked against the contract once, before it is returned.  Each residue
     family costs at most a constant times its direct remainders (``_residues``).
+    Every argument must be a natural int, as in ``RecodeWitness``.
     """
+    for n, what in ((u, "u"), (v, "v"), (vprime, "vprime"), (x, "x"), (k, "k")):
+        _natural(n, what)
     violation = _recode_violation(v, vprime, x, k)
     if violation:
         raise PreconditionViolated(violation)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 
@@ -356,6 +357,19 @@ def test_check_axioms_deterministic_output():
     second = run_cli(*args)
     assert first.stdout == second.stdout
     assert first.returncode == second.returncode == 0
+
+
+@pytest.mark.parametrize("args", [
+    ("check-axioms", "--model", "qext", "--json", "--samples", "200", "--seed", "3"),
+    ("demo", "q-pairing"),
+], ids=["check-axioms", "q-pairing"])
+def test_qext_output_does_not_depend_on_str_hashing(args):
+    # qext's atoms are str tokens, and str hashes change with PYTHONHASHSEED
+    runs = [subprocess.run([sys.executable, "-m", "seqcode", *args], capture_output=True,
+                           timeout=300, env={**os.environ, "PYTHONHASHSEED": seed})
+            for seed in ("0", "1")]
+    assert runs[0].returncode == runs[1].returncode == 0
+    assert runs[0].stdout == runs[1].stdout != b""
 
 
 def test_demo_subtraction_exits_zero():

@@ -59,6 +59,14 @@ def test_pair_rejects_negatives():
         pair(0, -2)
 
 
+def test_is_pair_code_takes_naturals_only():
+    # True used to count as the code 1, and -1 raised math.isqrt's message
+    with pytest.raises(TypeError, match="w must be an int, got bool"):
+        is_pair_code(True)
+    with pytest.raises(ValueError, match="w must be nonnegative, got -1"):
+        is_pair_code(-1)
+
+
 def test_isqrt_fixed_values():
     assert isqrt is math.isqrt  # the stdlib root itself, not a wrapper
     assert isqrt(0) == 0

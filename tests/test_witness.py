@@ -294,6 +294,20 @@ def test_witness_fields_must_be_naturals():
         assert type(wit)(*values) == wit and wit.verify()
 
 
+@pytest.mark.parametrize("args, error, message", [
+    ((-5, 0, 2, 1, 0), ValueError, "u must be nonnegative, got -5"),
+    ((5, -2, 2, 1, 0), ValueError, "v must be nonnegative, got -2"),
+    ((5, 0, 2, 1, True), TypeError, "k must be an int, got bool"),
+])
+def test_recode_extend_takes_naturals_only(args, error, message):
+    # each used to return a number (1, 1 and 6, reading k = True as 1), while
+    # a RecodeWitness of the same inputs refused to be built
+    with pytest.raises(error, match=message):
+        recode_extend(*args)
+    with pytest.raises(error):
+        RecodeWitness(*args, 0)
+
+
 def test_recode_witness_verify_checks_the_preconditions():
     huge = 10**11
     # vprime = 0 makes every modulus 1 and forces v = x = 0
