@@ -164,7 +164,7 @@ def _cmd_demo_subtraction(args) -> int:
         _print({
             "pair": report.counterexample,
             "order_holds": p <= q,
-            "solvable": polynat.subtract(q, p) is not None,
+            "solvable": polynat.subtract(q.coeffs, p.coeffs) is not None,
             "polynat_verdict": report.verdict,
             "nat_verdict": control.verdict,
         })

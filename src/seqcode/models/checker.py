@@ -22,7 +22,6 @@ from typing import Any, Callable, Iterator, Optional
 
 from seqcode.models import axioms as _axioms
 from seqcode.models import polynat, qext
-from seqcode.models.polynat import PolyNat
 
 
 class UnknownAxiom(ValueError):
@@ -52,7 +51,7 @@ class Model:
     ``le``, ``subtract(p, q)`` (the z with z + q == p, or None) and ``automorphism``
     (a map on the carrier) may be None; statements that need a missing one are refused.
     ``fmt`` writes an element into a report: ``str`` by default, which prints ints and
-    qext's atom tokens as reports write them; polynat sets ``PolyNat.to_json``."""
+    qext's atom tokens as reports write them; polynat sets ``polynat.to_json``."""
 
     name: str
     zero: Any
@@ -100,15 +99,12 @@ def _sample_nat(rng: random.Random) -> Iterator[int]:
 
 
 def _polynat_box() -> tuple:
-    elems = {
-        PolyNat((a, b, c))
-        for a in range(4) for b in range(4) for c in range(4)
-    }
-    return tuple(sorted(elems))
+    elems = {polynat.PolyNat(cs) for cs in itertools.product(range(4), repeat=3)}
+    return tuple(p.coeffs for p in sorted(elems))
 
 
-def _sample_polynat(rng: random.Random) -> Iterator[PolyNat]:
-    getrandbits, canonical = rng.getrandbits, polynat._canonical
+def _sample_polynat(rng: random.Random) -> Iterator[tuple]:
+    getrandbits = rng.getrandbits
     while True:
         while (degree := getrandbits(3)) >= 6:
             pass
@@ -119,7 +115,7 @@ def _sample_polynat(rng: random.Random) -> Iterator[PolyNat]:
             cs.append(c)
         while cs and cs[-1] == 0:
             cs.pop()
-        yield canonical(tuple(cs))
+        yield tuple(cs)
 
 
 def _sample_qext(rng: random.Random) -> Iterator[int | str]:
@@ -150,14 +146,14 @@ NAT = Model(
 
 POLYNAT = Model(
     name="polynat",
-    zero=polynat.ZERO,
-    one=polynat.ONE,
-    add=PolyNat.__add__,
-    mul=PolyNat.__mul__,
-    le=PolyNat.__le__,
+    zero=(),
+    one=(1,),
+    add=polynat.add,
+    mul=polynat.mul,
+    le=polynat.le,
     box=_polynat_box(),
     draws=_sample_polynat,
-    fmt=PolyNat.to_json,
+    fmt=polynat.to_json,
     subtract=polynat.subtract,
     statements=_axioms.CORE_AXIOMS,
 )

@@ -36,14 +36,14 @@ class NotCoprime(ValueError):
 
 def divides(d: int, x: int) -> bool:
     """True iff x = q*d for some q; divides(0, x) holds only for x = 0."""
-    if d == 0:
-        return x == 0
-    return x % d == 0
+    _natural(d, "d")
+    _natural(x, "x")
+    return x % d == 0 if d else x == 0
 
 
 def lcm_upto(k: int) -> int:
     """Least common multiple of 1..k (1 when k = 0)."""
-    return math.lcm(*range(1, k + 1))
+    return math.lcm(*range(1, _natural(k, "k") + 1))
 
 
 def divisor_product(k: int, v: int) -> int:
@@ -53,6 +53,8 @@ def divisor_product(k: int, v: int) -> int:
     what lets ``recode_extend`` use it as a term that vanishes modulo all
     smaller-position moduli at once.
     """
+    _natural(k, "k")
+    _natural(v, "v")
     return math.prod(1 + t * v for t in range(1, k + 1))
 
 
@@ -147,6 +149,8 @@ def factor_inverse(kprime: int, i: int, z: int) -> FactorWitness:
     When i = kprime + 1 the z terms vanish and the pair collapses to
     (1 + kprime, kprime), which still satisfies the identity.
     """
+    for n, what in ((kprime, "kprime"), (i, "i"), (z, "z")):
+        _natural(n, what)
     violation = _factor_violation(kprime, i)
     if violation:
         raise DomainError(violation)
@@ -209,6 +213,8 @@ def product_inverse(k: int, v: int, i: int) -> InverseCertificate:
     v // (i - t), exact by precondition), and q is the exact quotient
     (u*p - 1) // (1 + i*v), the only one the identity admits.
     """
+    for n, what in ((k, "k"), (v, "v"), (i, "i")):
+        _natural(n, what)
     violation = _product_violation(k, v, i)
     if violation:
         raise PreconditionViolated(violation)
@@ -366,9 +372,9 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
     if len(residues) != len(moduli):
         raise ValueError("residues and moduli must have the same length")
     for r, m in zip(residues, moduli):
-        if m < 1:
-            raise PreconditionViolated(f"modulus must be positive, got {m}")
-        if not 0 <= r < m:
+        _natural(r, "residue")
+        _natural(m, "modulus")
+        if r >= m:  # so m is positive
             raise PreconditionViolated(f"residue {r} is not below modulus {m}")
     u, prod = 0, 1
     for r, m in zip(residues, moduli):

@@ -405,6 +405,22 @@ def test_build_codes_of_a_seeded_grid_are_pinned():
     assert digest.hexdigest() == "73efcf58e04c7cc1ecc3d84d0e7f65cb8ba754420d52cd24a2c6374fcbb8fda9"
 
 
+def test_a_build_is_one_recode_at_the_last_base():
+    # every prefix xs[:k], k = 0..48, of one seeded list per entry width: its
+    # build and its append fold are both one recode of all k entries at the
+    # last base v_k of the rebase chain, with no reduction between levels
+    rng = random.Random(4848)
+    for width in (1, 8, 64, 200):
+        xs = [rng.getrandbits(width) for _ in range(48)]
+        h, v = seq_empty(), 0
+        for k in range(49):
+            want = pair(witness._recode(xs[:k], v) if k else 0, v)
+            assert seq_build(xs[:k]).w == h.w == want, (width, k)
+            if k < 48:
+                v = codec._rebase(v, k, xs[k])
+                h = seq_append(h, xs[k])
+
+
 def test_seq_contract_seeded_random():
     rng = random.Random(1815)
     for _ in range(40):

@@ -57,6 +57,24 @@ def test_lcm_upto_divisibility():
             assert divides(t, value)
 
 
+@pytest.mark.parametrize("fn, args, error, message", [
+    (divisor_product, (-1, 3), ValueError, "k must be nonnegative, got -1"),  # returned 1
+    (divisor_product, (2, True), TypeError, "v must be an int, got bool"),  # returned 6
+    (lcm_upto, (-3,), ValueError, "k must be nonnegative, got -3"),  # returned 1
+    (lcm_upto, (True,), TypeError, "k must be an int, got bool"),  # returned 1
+    (crt, ([True], [3]), TypeError, "residue must be an int, got bool"),  # returned 1
+    (crt, ([0], [3.0]), TypeError, "modulus must be an int, got float"),
+    (divides, (-2, 4), ValueError, "d must be nonnegative, got -2"),  # returned True
+    (divides, (2, -4), ValueError, "x must be nonnegative, got -4"),
+    (product_inverse, (2, 6, True), TypeError, "i must be an int, got bool"),  # reported need i > k
+    (product_inverse, (2, -6, 4), ValueError, "v must be nonnegative, got -6"),
+    (factor_inverse, (1, True, 0), TypeError, "i must be an int, got bool"),  # reported need i >= 2
+], ids=lambda v: getattr(v, "__name__", None))
+def test_public_helpers_take_naturals_only(fn, args, error, message):
+    with pytest.raises(error, match=message):
+        fn(*args)
+
+
 # ---------------------------------------------------------------- divisor products
 
 
