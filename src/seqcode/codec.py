@@ -19,11 +19,16 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from seqcode._decimal import decimal_str, parse_decimal
-from seqcode.witness import _carries, _fold_step, _natural, _residues, lcm_upto, recode_extend
+from seqcode.witness import (
+    _carries, _contract, _fold_step, _natural, _residues, lcm_upto, recode_extend,
+)
 
 
 class NotAPairCode(ValueError):
     """Raised when a number is not of the form (x + y)**2 + x."""
+
+    def __str__(self) -> str:  # the number, any size, formatted only when shown
+        return decimal_str(self.args[0])
 
 
 # floor square root, the s with s*s <= n < (s+1)*(s+1): integer-only, so exact
@@ -147,18 +152,20 @@ def seq_append(s: SeqHandle, x: int) -> SeqHandle:
 def seq_build(xs: Iterable[int]) -> SeqHandle:
     """Encode the given naturals: the ``seq_append`` fold, code for code.
 
-    One checked step on the split form (u, v) per entry, from (0, 0), and
-    one ``pair`` at the end, so no code is unpaired.  The fold carries its
+    One step on the split form (u, v) per entry, from (0, 0), and one
+    ``pair`` at the end, so no code is unpaired.  The fold carries its
     entries and level prefix: a step whose base holds runs only the new
-    level of the recode, and every step is checked against the entries.
+    level of the recode.  The result is checked once, against every entry.
     """
     u = v = 0
     entries, prefix = [], 1
     for x in xs:
         v1 = _rebase(v, len(entries), x)
         entries.append(x)
-        u, prefix = _fold_step(u, v, v1, entries, prefix)
+        last, (u, prefix) = (u, v), _fold_step(u, v, v1, entries, prefix)
         v = v1
+    if entries:  # the last step's contract, at every position
+        _contract(*last, v, entries, u)
     return SeqHandle(len(entries), pair(u, v))
 
 

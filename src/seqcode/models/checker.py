@@ -20,6 +20,7 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterator, Optional
 
+from seqcode._decimal import decimal_str
 from seqcode.models import axioms as _axioms
 from seqcode.models import polynat, qext
 
@@ -39,7 +40,8 @@ class SampleBudget:
         # Random(-s) draws what Random(s) draws: a negative seed repeats a stream
         samples, seed = self.samples, self.seed
         if type(samples) is not int or type(seed) is not int or samples < 0 or seed < 0:
-            raise ValueError(f"samples and seed must be naturals, got {samples!r}, {seed!r}")
+            shown = ", ".join(decimal_str(n) if type(n) is int else repr(n) for n in (samples, seed))
+            raise ValueError(f"samples and seed must be naturals, got {shown}")
 
 
 @dataclass(frozen=True)

@@ -62,7 +62,7 @@ def _natural(n: int, what: str) -> int:
     if type(n) is not int:
         raise TypeError(f"{what} must be an int, got {type(n).__name__}")
     if n < 0:
-        raise ValueError(f"{what} must be nonnegative, got {n}")
+        raise ValueError(f"{what} must be nonnegative, got {decimal_str(n)}")
     return n
 
 
@@ -121,7 +121,7 @@ def _factor_violation(kprime: int, i: int) -> str | None:
     if kprime < 1:
         return f"kprime must be at least 1, got {kprime}"
     if i < kprime + 1:
-        return f"need i >= kprime + 1, got i={i} with kprime={kprime}"
+        return f"need i >= kprime + 1, got i={decimal_str(i)} with kprime={decimal_str(kprime)}"
     return None
 
 
@@ -198,10 +198,10 @@ def _product_violation(k: int, v: int, i: int) -> str | None:
     Every i - j divides v = 0, so for v = 0 only i > k is read, whatever k is.
     """
     if i <= k:
-        return f"need i > k, got i={i}, k={k}"
+        return f"need i > k, got i={decimal_str(i)}, k={decimal_str(k)}"
     for j in range(1, k + 1) if v else ():
         if not divides(i - j, v):
-            return f"i - {j} = {i - j} must divide v = {v}"
+            return f"i - {j} = {decimal_str(i - j)} must divide v = {decimal_str(v)}"
     return None
 
 
@@ -232,11 +232,11 @@ def _recode_violation(v: int, vprime: int, x: int, k: int) -> str | None:
     # why recode_extend(_, v, vprime, x, k) is undefined, or None; a
     # vprime >= 1 divisible by 1..k is at least lcm(1..k) >= 2**(k-1)
     if vprime < v:
-        return f"need vprime >= v, got vprime={vprime}, v={v}"
+        return f"need vprime >= v, got vprime={decimal_str(vprime)}, v={decimal_str(v)}"
     if (k + 1) * vprime < x:
-        return f"need (k+1)*vprime >= x, got {(k + 1) * vprime} < {x}"
+        return f"need (k+1)*vprime >= x, got {decimal_str((k + 1) * vprime)} < {decimal_str(x)}"
     if vprime and (vprime.bit_length() < k or vprime % lcm_upto(k)):
-        return f"vprime = {vprime} must be divisible by 1..{k}"
+        return f"vprime = {decimal_str(vprime)} must be divisible by 1..{decimal_str(k)}"
     return None
 
 
@@ -269,19 +269,19 @@ def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
 
 
 def _fold_step(u: int, v: int, vprime: int, entries: list[int], prefix: int) -> tuple[int, int]:
-    # recode_extend for seq_build's fold, whose checked u is _recode(entries[:-1], v)
-    # and prefix prod(1 + t*v, t < k), k = len(entries) - 1: while the base holds
-    # (never at k = 0, where v = 0) only level k runs; checked against entries
+    # recode_extend for seq_build's fold, whose u is _recode(entries[:-1], v) and
+    # prefix prod(1 + t*v, t < k), k = len(entries) - 1: while the base holds
+    # (never at k = 0, where v = 0) only level k runs; unchecked, since seq_build
+    # checks its last step against every entry, which covers each level carried
     violation = _recode_violation(v, vprime, entries[-1], len(entries) - 1)
     if violation:
         raise PreconditionViolated(violation)
     start = (u, prefix, len(entries) - 1) if vprime == v else (entries[0], 1, 1)
-    acc, prefix = _levels(entries, vprime, *start)
-    return _contract(u, v, vprime, entries, acc), prefix
+    return _levels(entries, vprime, *start)
 
 
 def _contract(u: int, v: int, vprime: int, residues: list[int], acc: int) -> int:
-    # the self-check of every append step: acc carries residues, x last, at vprime
+    # the self-check of an append step or a build: acc carries residues, x last, at vprime
     if not _carries(acc, vprime, residues):
         witness = RecodeWitness(u, v, vprime, residues[-1], len(residues) - 1, acc)
         raise RuntimeError(f"recode failed its own contract: {witness}")
@@ -375,13 +375,14 @@ def crt(residues: Sequence[int], moduli: Sequence[int]) -> int:
         _natural(r, "residue")
         _natural(m, "modulus")
         if r >= m:  # so m is positive
-            raise PreconditionViolated(f"residue {r} is not below modulus {m}")
+            raise PreconditionViolated(
+                f"residue {decimal_str(r)} is not below modulus {decimal_str(m)}")
     u, prod = 0, 1
     for r, m in zip(residues, moduli):
         try:
             s = pow(prod % m, -1, m)
         except ValueError:
-            raise NotCoprime(f"moduli share the factor {math.gcd(prod, m)}") from None
+            raise NotCoprime(f"moduli share the factor {decimal_str(math.gcd(prod, m))}") from None
         u += prod * (((r - u) * s) % m)
         prod *= m
     return u

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -211,6 +212,25 @@ def test_wide_recode_witness_is_rejected_quickly():
     out = run_cli("verify-witness", stdin=json.dumps(wit.to_json()).encode(), timeout=10)
     assert out.returncode == 1
     assert out.stdout == b"recode: INVALID\n"
+
+
+WIDE = 2**20000  # some 6,000 digits, past the default int-str cap of 4,300
+
+
+@pytest.mark.parametrize("obj", [
+    {"type": "recode", "u": "5", "v": decimal_str(WIDE), "vprime": decimal_str(WIDE - 1),
+     "x": "0", "k": "1", "uprime": "5"},
+    {"type": "product-inverse", "k": "1", "v": decimal_str(WIDE + 1), "i": "3",
+     "u": decimal_str(2 * WIDE), "p": "1", "q": "1"},
+    {"type": "factor-inverse", "kprime": decimal_str(10**5000), "i": "5", "z": "1",
+     "pprime": "1", "qprime": "1"},
+], ids=lambda obj: obj["type"])
+def test_a_wide_well_formed_witness_that_breaks_its_precondition_exits_1(obj, monkeypatch, capsys):
+    # each precondition's message names these numbers; formatting them with
+    # str() raised past the int-str cap, which exited 2 as malformed input
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(obj)))
+    assert cli.main(["verify-witness", "-"]) == 1
+    assert capsys.readouterr() == (f"{obj['type']}: INVALID\n", "")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,13 +1,17 @@
 """Fuzzing ``cli.main`` in process: every input ends in exit 0, 1 or 2, never a traceback.
 
-Two generators: argv lists (the six subcommands, known and unknown flags,
+Three generators: argv lists (the six subcommands, known and unknown flags,
 junk tokens, naturals of up to 40 digits, and handles one entry over
-``MAX_LEN``) and witness JSON fed to ``verify-witness -`` through a
-replaced ``sys.stdin`` (each type tag, with fields that are decimal
-strings, ints, negatives, nested values, or missing).  Each example must
-finish within a time cap.  ``--samples`` stays at most 50 or goes above
-``MAX_SAMPLES``, where it exits 2 at once: in between, the sampled phase's
-cost is the budget the caller asks for.
+``MAX_LEN``); witness JSON fed to ``verify-witness -`` through a replaced
+``sys.stdin`` (each type tag, with fields that are decimal strings, ints,
+negatives, nested values, or missing); and well-formed witnesses, every
+field a natural decimal string, some wider than the default int-str cap
+of 4,300 digits, which must end in a verdict, exit 0 or 1, never exit 2.
+Each example must finish within a time cap.  ``--samples`` stays at most
+50 or goes above ``MAX_SAMPLES``, where it exits 2 at once: in between,
+the sampled phase's cost is the budget the caller asks for.  For the same
+reason a well-formed witness keeps its k, i and kprime at most 12: a
+verify's cost grows with them, within bounds set by the witness size.
 
 Out of scope: cost in a code's *width*.  The length of a handle is bounded
 by ``MAX_LEN``, but appending onto a code of some 100k digits still runs
@@ -26,6 +30,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from seqcode import cli
+from seqcode._decimal import decimal_str
 
 TIME_CAP_S = 2.0
 FUZZ = settings(deadline=None, max_examples=60)
@@ -154,3 +159,45 @@ def test_any_witness_json_exits_0_1_or_2_without_a_traceback(text, as_json):
     if code != 2:  # a verdict is printed exactly when the witness parsed
         verdict = json.loads(out)["valid"] if as_json else out.endswith(": valid\n")
         assert verdict == (code == 0)
+
+
+# naturals of every width: small, up to 40 digits, and past the int-str cap
+wide_naturals = st.one_of(
+    st.integers(min_value=0, max_value=12),
+    naturals,
+    st.integers(min_value=10**4300, max_value=10**5000),
+)
+SMALL_FIELDS = {"k", "i", "kprime"}
+
+
+@st.composite
+def well_formed_witnesses(draw):
+    tag = draw(st.sampled_from(sorted(FIELDS)))
+    obj = {"type": tag}
+    for name in FIELDS[tag]:
+        value = draw(st.integers(min_value=0, max_value=12) if name in SMALL_FIELDS
+                     else wide_naturals)
+        obj[name] = decimal_str(value)
+    return obj
+
+
+WIDE = 2**20000
+
+
+@FUZZ
+@given(well_formed_witnesses(), st.booleans())
+@example({"type": "recode", "u": "5", "v": decimal_str(WIDE), "vprime": decimal_str(WIDE - 1),
+          "x": "0", "k": "1", "uprime": "5"}, False)
+@example({"type": "product-inverse", "k": "1", "v": decimal_str(WIDE + 1), "i": "3",
+          "u": decimal_str(2 * WIDE), "p": "1", "q": "1"}, True)
+@example({"type": "factor-inverse", "kprime": decimal_str(10**5000), "i": "5", "z": "1",
+          "pprime": "1", "qprime": "1"}, False)
+@example({"type": "recode", "u": "0", "v": "0", "vprime": decimal_str(WIDE),
+          "x": "0", "k": "1", "uprime": "0"}, True)
+def test_a_well_formed_witness_gets_a_verdict(obj, as_json):
+    code, out, err = _run(["verify-witness", "-", *["--json"] * as_json], stdin=json.dumps(obj))
+    assert code in (0, 1), err
+    if as_json:
+        assert json.loads(out) == {"type": obj["type"], "valid": code == 0}
+    else:
+        assert out == f"{obj['type']}: {'valid' if code == 0 else 'INVALID'}\n"

@@ -105,6 +105,13 @@ def test_unpair_fixed_values():
         unpair(3)
 
 
+def test_a_non_code_past_the_int_str_cap_shows_in_full():
+    w = pair(5, 2**20000) + 2**20001
+    with pytest.raises(NotAPairCode) as info:
+        unpair(w)
+    assert str(info.value) == decimal_str(w)
+
+
 def test_unpair_3_has_no_preimage_by_search():
     assert 3 not in {pair(x, y) for x in range(4) for y in range(4)}
 
@@ -324,7 +331,7 @@ def test_build_is_the_append_fold(xs):
     assert seq_build(x for x in xs) == h
 
 
-def test_build_splits_no_code_and_checks_every_step(monkeypatch):
+def test_build_splits_no_code_and_checks_once_at_the_last_base(monkeypatch):
     xs = list(range(1, 9))
     # the rebase chain, read off the appended codes: v_k is the base of k entries
     bases, h = [0], seq_empty()
@@ -342,10 +349,29 @@ def test_build_splits_no_code_and_checks_every_step(monkeypatch):
     monkeypatch.setattr(witness, "_inverse", lambda *a: level_runs.append(a) or real_inverse(*a))
     h = seq_build(xs)
     assert roots == []  # the steps carry (u, v), so no code is unpaired
-    # one full-contract check per entry, against every entry so far
-    assert checks == [(bases[k + 1], xs[:k + 1]) for k in range(8)]
+    # one full-contract check, of the result at the last base against every entry
+    assert checks == [(bases[8], xs)]
     assert len(level_runs) == levels == 24  # one _inverse per level run
     assert seq_decode(h) == xs
+    checks.clear()
+    assert seq_build([]) == seq_empty() and checks == []
+
+
+def test_build_catches_a_wrong_level_that_later_steps_carry(monkeypatch):
+    # the base holds at every step, so step k runs level k alone and later steps
+    # resume from its code: a wrong middle level is caught by the one check
+    # at the end, which reads the result at every position
+    rng = random.Random(5)
+    xs = [lcm_upto(10) * 2**200] + [rng.getrandbits(64) for _ in range(9)]
+    real_inverse = witness._inverse
+    levels = []
+    monkeypatch.setattr(witness, "_inverse",
+                        lambda t, v, i: levels.append(t) or real_inverse(t, v, i) + (t == 4))
+    with pytest.raises(RuntimeError, match="^recode failed its own contract: {") as info:
+        seq_build(xs)
+    assert levels == list(range(1, 10))  # every level ran once, 4 among them
+    # the message names the last step, k = 9 entries onto the base of all ten
+    assert '"x":"' + decimal_str(xs[-1]) + '","k":"9"' in str(info.value)
 
 
 def test_build_rejects_a_wrong_inverse(monkeypatch):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from seqcode._decimal import decimal_str
 from seqcode.models import axioms as ax
 from seqcode.models import checker, qext
 from seqcode.models.checker import (
@@ -193,6 +194,13 @@ def test_budget_takes_naturals_only():
         with pytest.raises(ValueError):
             SampleBudget(**bad)
     assert SampleBudget(samples=0, seed=0) == SampleBudget(0, 0)
+
+
+def test_budget_message_shows_a_wide_int():
+    wide = -(2**20000)
+    with pytest.raises(ValueError) as info:
+        SampleBudget(samples=1.5, seed=wide)
+    assert str(info.value) == f"samples and seed must be naturals, got 1.5, {decimal_str(wide)}"
 
 
 def test_one_generator_per_run(monkeypatch):

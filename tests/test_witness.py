@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from intpoly import IntPoly, X  # tests/intpoly.py
 
 from seqcode import codec, witness
+from seqcode._decimal import decimal_str
 from seqcode.codec import pair, seq_append, seq_build, unpair, verify_seq_step
 from seqcode.witness import (
     DomainError,
@@ -73,6 +74,36 @@ def test_lcm_upto_divisibility():
 def test_public_helpers_take_naturals_only(fn, args, error, message):
     with pytest.raises(error, match=message):
         fn(*args)
+
+
+WIDE = 2**20000  # some 6,000 digits, past the default int-str cap of 4,300
+
+
+@pytest.mark.parametrize("fn, args, error, message", [
+    (recode_extend, (5, WIDE, WIDE - 1, 0, 1), PreconditionViolated,
+     f"need vprime >= v, got vprime={decimal_str(WIDE - 1)}, v={decimal_str(WIDE)}"),
+    (recode_extend, (0, 1, 1, 10**5000, 1), PreconditionViolated,
+     f"need (k+1)*vprime >= x, got 2 < {decimal_str(10**5000)}"),
+    (recode_extend, (0, WIDE, WIDE + 1, 0, 3), PreconditionViolated,
+     f"vprime = {decimal_str(WIDE + 1)} must be divisible by 1..3"),
+    (product_inverse, (1, WIDE + 1, 3), PreconditionViolated,
+     f"i - 1 = 2 must divide v = {decimal_str(WIDE + 1)}"),
+    (product_inverse, (10**5000, 0, 3), PreconditionViolated,
+     f"need i > k, got i=3, k={decimal_str(10**5000)}"),
+    (factor_inverse, (10**5000, 5, 1), DomainError,
+     f"need i >= kprime + 1, got i=5 with kprime={decimal_str(10**5000)}"),
+    (crt, ([10**5000], [3]), PreconditionViolated,
+     f"residue {decimal_str(10**5000)} is not below modulus 3"),
+    (crt, ([0, 0], [WIDE + 1, WIDE + 1]), NotCoprime,
+     f"moduli share the factor {decimal_str(WIDE + 1)}"),
+    (seq_build, ([-10**5000],), ValueError, f"x must be nonnegative, got {decimal_str(-10**5000)}"),
+], ids=["recode-v", "recode-x", "recode-vprime", "product-v", "product-k", "factor-kprime",
+        "crt-residue", "crt-coprime", "build-x"])
+def test_messages_show_numbers_past_the_int_str_cap(fn, args, error, message):
+    # str() of such a number raises ValueError itself, which hid the error's own type
+    with pytest.raises(error) as info:
+        fn(*args)
+    assert type(info.value) is error and str(info.value) == message
 
 
 # ---------------------------------------------------------------- divisor products
