@@ -125,10 +125,10 @@ def seq_empty() -> SeqHandle:
     return SeqHandle(0, 0)
 
 
-def _rebase(v: int, k: int, x: int) -> int:
-    # the modulus base for appending x to k entries at base v
+def _rebase(v: int, step: int, x: int) -> int:
+    # the base for x after k entries at base v: the least positive multiple of
+    # step = lcm(1..k+1) that is at least v and x
     _natural(x, "x")
-    step = lcm_upto(k + 1)
     return ((max(v, x, 1) + step - 1) // step) * step
 
 
@@ -145,7 +145,7 @@ def seq_append(s: SeqHandle, x: int) -> SeqHandle:
     """
     k = s.len
     u, v = _split(s.w) if k else (0, 0)
-    v1 = _rebase(v, k, x)
+    v1 = _rebase(v, lcm_upto(k + 1), x)
     return SeqHandle(k + 1, pair(recode_extend(u, v, v1, x, k), v1))
 
 
@@ -154,13 +154,15 @@ def seq_build(xs: Iterable[int]) -> SeqHandle:
 
     One step on the split form (u, v) per entry, from (0, 0), and one
     ``pair`` at the end, so no code is unpaired.  The fold carries its
-    entries and level prefix: a step whose base holds runs only the new
+    entries, its level prefix and the step modulus lcm(1..k+1), grown by
+    one ``math.lcm`` per entry: a step whose base holds runs only the new
     level of the recode.  The result is checked once, against every entry.
     """
     u = v = 0
-    entries, prefix = [], 1
+    entries, prefix, step = [], 1, 1
     for x in xs:
-        v1 = _rebase(v, len(entries), x)
+        step = math.lcm(step, len(entries) + 1)
+        v1 = _rebase(v, step, x)
         entries.append(x)
         last, (u, prefix) = (u, v), _fold_step(u, v, v1, entries, prefix)
         v = v1

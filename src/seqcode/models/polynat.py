@@ -75,7 +75,7 @@ class PolyNat:
             if type(c) is not int:
                 raise TypeError(f"coefficients must be ints, got {c!r}")
             if c < 0:
-                raise ValueError(f"coefficients must be nonnegative, got {c}")
+                raise ValueError(f"coefficients must be nonnegative, got {decimal_str(c)}")
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: tuple[int, ...] = tuple(cs)
@@ -114,11 +114,11 @@ class PolyNat:
             if c == 0:
                 continue
             if i == 0:
-                terms.append(str(c))
+                terms.append(decimal_str(c))
             elif i == 1:
-                terms.append("X" if c == 1 else f"{c}*X")
+                terms.append("X" if c == 1 else f"{decimal_str(c)}*X")
             else:
-                terms.append(f"X^{i}" if c == 1 else f"{c}*X^{i}")
+                terms.append(f"X^{i}" if c == 1 else f"{decimal_str(c)}*X^{i}")
         return " + ".join(terms)
 
     def to_json(self) -> list[str]:

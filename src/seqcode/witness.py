@@ -132,10 +132,14 @@ def _checked(witness):
     return witness
 
 
+def _pprime(kprime: int, i: int, z: int) -> int:
+    # p' of factor_inverse, unchecked: written once, read by the pair and by _inverse
+    return 1 + kprime + i * kprime * (i - kprime - 1) * z
+
+
 def _factor_pair(kprime: int, i: int, z: int) -> tuple[int, int]:
     # the closed form (pprime, qprime) of factor_inverse, unchecked
-    gap = i - (kprime + 1)
-    return 1 + kprime + i * kprime * gap * z, kprime + kprime * kprime * gap * z
+    return _pprime(kprime, i, z), kprime + kprime * kprime * (i - kprime - 1) * z
 
 
 def factor_inverse(kprime: int, i: int, z: int) -> FactorWitness:
@@ -224,8 +228,8 @@ def product_inverse(k: int, v: int, i: int) -> InverseCertificate:
 
 def _inverse(k: int, v: int, i: int) -> int:
     # the inverse of divisor_product(k, v) modulo 1 + i*v, unchecked: the
-    # product of the factor inverses, each z = v // (i - t) exact by precondition
-    return math.prod(_factor_pair(t, i, v // (i - t))[0] for t in range(1, k + 1))
+    # product of the factors' p' alone, each z = v // (i - t) exact by precondition
+    return math.prod(_pprime(t, i, v // (i - t)) for t in range(1, k + 1))
 
 
 def _recode_violation(v: int, vprime: int, x: int, k: int) -> str | None:

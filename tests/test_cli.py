@@ -117,8 +117,8 @@ def test_append_checks_its_step_once(monkeypatch, capsys):
     ["encode", "4", "1"],
 ])
 def test_a_failed_self_check_exits_1(argv, monkeypatch, capsys):
-    real = witness._factor_pair
-    monkeypatch.setattr(witness, "_factor_pair", lambda *a: (real(*a)[0] + 1, real(*a)[1]))
+    real = witness._pprime
+    monkeypatch.setattr(witness, "_pprime", lambda *a: real(*a) + 1)
     assert cli.main(argv) == 1
     out, err = capsys.readouterr()
     assert out == ""

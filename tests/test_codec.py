@@ -357,6 +357,30 @@ def test_build_splits_no_code_and_checks_once_at_the_last_base(monkeypatch):
     assert seq_build([]) == seq_empty() and checks == []
 
 
+def test_a_build_computes_one_lcm_upto_per_step(monkeypatch):
+    # the fold grows the step modulus lcm(1..k+1) by one math.lcm per entry;
+    # lcm_upto is left to each step's precondition check, once per step
+    calls, real = [], witness.lcm_upto
+
+    def counted(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(witness, "lcm_upto", counted)
+    monkeypatch.setattr(codec, "lcm_upto", counted)  # codec imports it by name
+    rng = random.Random(8)
+    for k in (0, 1, 2, 8, 24):
+        # 64-bit entries, then a wide first entry whose base every later step keeps
+        for xs in ([rng.getrandbits(64) for _ in range(k)], [lcm_upto(k) * 2**200, *[3] * k][:k]):
+            calls.clear()
+            assert seq_decode(seq_build(xs)) == xs
+            assert calls == list(range(k)), k
+    h = seq_build([5, 3])
+    calls.clear()
+    assert seq_decode(seq_append(h, 9)) == [5, 3, 9]
+    assert calls == [3, 2]  # the append's step modulus, then its precondition
+
+
 def test_build_catches_a_wrong_level_that_later_steps_carry(monkeypatch):
     # the base holds at every step, so step k runs level k alone and later steps
     # resume from its code: a wrong middle level is caught by the one check
@@ -376,8 +400,8 @@ def test_build_catches_a_wrong_level_that_later_steps_carry(monkeypatch):
 
 def test_build_rejects_a_wrong_inverse(monkeypatch):
     # every step's recode is checked against the contract, not trusted
-    real = witness._factor_pair
-    monkeypatch.setattr(witness, "_factor_pair", lambda *a: (real(*a)[0] + 1, real(*a)[1]))
+    real = witness._pprime
+    monkeypatch.setattr(witness, "_pprime", lambda *a: real(*a) + 1)
     with pytest.raises(RuntimeError):
         seq_build(range(1, 9))
     with pytest.raises(RuntimeError):
@@ -443,7 +467,7 @@ def test_a_build_is_one_recode_at_the_last_base():
             want = pair(witness._recode(xs[:k], v) if k else 0, v)
             assert seq_build(xs[:k]).w == h.w == want, (width, k)
             if k < 48:
-                v = codec._rebase(v, k, xs[k])
+                v = codec._rebase(v, lcm_upto(k + 1), xs[k])
                 h = seq_append(h, xs[k])
 
 

@@ -497,6 +497,16 @@ def test_automorphism_verifies():
     assert report.axiom == "AUTOMORPHISM"
 
 
+def test_automorphism_rejects_a_map_that_is_no_involution():
+    # both atoms to a0, every natural to itself: at the reported pair (a1, a0)
+    # every clause holds but f(f(x)) == x, and that one clause must reject it
+    collapse = dataclasses.replace(QEXT, automorphism=lambda x: A0 if type(x) is str else x)
+    report = run_axiom(collapse, ax.AUTOMORPHISM)
+    assert report.verdict == "counterexample"
+    assert report.counterexample == {"x": "a1", "y": "a0"}
+    assert report.samples == 54
+
+
 def test_swap_is_an_involution_on_the_box():
     for x in QEXT.box:
         assert qext_swap(qext_swap(x)) == x

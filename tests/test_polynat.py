@@ -94,6 +94,16 @@ def test_str_and_repr():
     assert "PolyNat" in repr(X)
 
 
+def test_wide_coefficients_are_formatted_past_the_int_str_cap():
+    # 5,001 digits, more than the default cap of 4,300 and the least of 640
+    wide = 10**5000
+    digits = "1" + "0" * 5000
+    with pytest.raises(ValueError, match=f"^coefficients must be nonnegative, got -{digits}$"):
+        PolyNat((-wide,))
+    assert str(PolyNat((wide,))) == digits
+    assert str(PolyNat((wide, wide, 1, wide))) == f"{digits} + {digits}*X + X^2 + {digits}*X^3"
+
+
 def test_json_roundtrip():
     p = PolyNat((12, 0, 3))
     assert p.to_json() == ["12", "0", "3"]

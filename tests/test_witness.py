@@ -279,6 +279,13 @@ def test_recode_extend_base_case():
     assert recode_extend(0, 0, 7, 7, 0) == 7
 
 
+def test_recode_extend_at_a_vprime_of_exactly_k_bits():
+    # vprime = 1 has k = 1 bit and is divisible by 1..1, so the bit-length
+    # shortcut of the precondition must not reject it
+    assert recode_extend(3, 1, 1, 2, 1) == 17
+    assert RecodeWitness(3, 1, 1, 2, 1, 17).verify()
+
+
 def test_recode_extend_fixed_case():
     uprime = recode_extend(68, 6, 60, 9, 2)
     assert uprime % 61 == 68 % 7 == 5
@@ -288,18 +295,42 @@ def test_recode_extend_fixed_case():
 
 def test_recode_extend_rejects_a_wrong_closed_form(monkeypatch):
     # the contract is checked once at the boundary, so a broken inverse
-    # surfaces as an error instead of a wrong code or certificate
-    closed_form = witness._factor_pair
+    # surfaces as an error instead of a wrong code or certificate; p' is
+    # written once, in _pprime, which the pair and the inverse product read
+    closed_form = witness._pprime
 
     def wrong_pprime(*args):
-        pprime, qprime = closed_form(*args)
-        return pprime + 1, qprime
+        return closed_form(*args) + 1
 
-    monkeypatch.setattr(witness, "_factor_pair", wrong_pprime)
+    monkeypatch.setattr(witness, "_pprime", wrong_pprime)
     with pytest.raises(RuntimeError):
         recode_extend(68, 6, 60, 9, 2)
     with pytest.raises(RuntimeError):
         product_inverse(2, 6, 4)
+    with pytest.raises(RuntimeError):
+        factor_inverse(2, 5, 1)
+
+
+def test_the_inverse_product_is_the_product_of_checked_factor_inverses():
+    # _inverse multiplies p' alone; each factor's p' is that of a checked witness
+    rng = random.Random(30)
+    for k in range(31):
+        for i in range(k + 1, k + 5):
+            for r in (0, 1, 7, rng.getrandbits(70)):
+                v = lcm_upto(i) * r
+                want = math.prod(factor_inverse(t, i, v // (i - t)).pprime for t in range(1, k + 1))
+                assert witness._inverse(k, v, i) == want, (k, v, i)
+
+
+def test_factor_pair_qprime_is_the_exact_quotient():
+    # q' is the one quotient the identity admits, given p'
+    for kprime in range(1, 12):
+        for i in range(kprime + 1, kprime + 12):
+            for z in (0, 1, 2, 5, 2**64 + 1, 3**50):
+                pprime, qprime = witness._factor_pair(kprime, i, z)
+                assert pprime == witness._pprime(kprime, i, z)
+                v = z * (i - kprime)
+                assert divmod((1 + kprime * v) * pprime - 1, 1 + i * v) == (qprime, 0)
 
 
 def test_recode_extend_preconditions():
