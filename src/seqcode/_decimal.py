@@ -72,3 +72,12 @@ def parse_decimal(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a decimal natural: {text!r}")
     return _from_str(text, _powers(len(text)))
+
+
+def _natural(n: int, what: str) -> int:
+    """n itself if it is a natural: TypeError for a non-int or a bool, ValueError if negative."""
+    if type(n) is not int:
+        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
+    if n < 0:
+        raise ValueError(f"{what} must be nonnegative, got {decimal_str(n)}")
+    return n

@@ -159,19 +159,19 @@ def _cmd_demo_subtraction(args) -> int:
     report, control = (_reports(args, m, (SUBTRACTION,))[0] for m in (checker.POLYNAT, checker.NAT))
     if report.counterexample != {"x": ["1"], "y": ["0", "1"]}:  # x = 1, y = X
         raise RuntimeError(f"polynat SUBTRACTION reported {report.counterexample}, not 1, X")
-    p, q = (polynat.PolyNat.from_json(v) for v in report.counterexample.values())
+    p, q = (polynat.from_json(v) for v in report.counterexample.values())
     if args.json:
         _print({
             "pair": report.counterexample,
-            "order_holds": p <= q,
-            "solvable": polynat.subtract(q.coeffs, p.coeffs) is not None,
+            "order_holds": polynat.le(p, q),
+            "solvable": polynat.subtract(q, p) is not None,
             "polynat_verdict": report.verdict,
             "nat_verdict": control.verdict,
         })
     else:
         print("model polynat: does x <= y guarantee some z with z + x = y?")
-        print(f"  candidate pair: x = {p}, y = {q}")
-        print(f"  order check:    {p} <= {q} holds")
+        print(f"  candidate pair: x = {polynat.show(p)}, y = {polynat.show(q)}")
+        print(f"  order check:    {polynat.show(p)} <= {polynat.show(q)} holds")
         print("  solving z + 1 = X coefficient-wise: the constant term needs")
         print("  z0 + 1 = 0, impossible for nonnegative coefficients")
         _emit_report(report, False)

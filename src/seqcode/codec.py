@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from seqcode._decimal import decimal_str, parse_decimal
-from seqcode.witness import (
-    _carries, _contract, _fold_step, _natural, _residues, lcm_upto, recode_extend,
-)
+from seqcode._decimal import _natural, decimal_str, parse_decimal
+from seqcode.witness import _carries, _contract, _fold_step, _residues, lcm_upto, recode_extend
 
 
 class NotAPairCode(ValueError):

@@ -1,4 +1,4 @@
-"""Seeded axiom checker over concrete models, with self-validating reports.
+"""Seeded axiom checker over models of plain values, with self-validating reports.
 
 Checking is testing, not proving: each axiom runs over an exhaustive small
 box first and then over seeded random samples.  Each run opens one sample
@@ -20,7 +20,7 @@ import random
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Iterator, Optional
 
-from seqcode._decimal import decimal_str
+from seqcode._decimal import _natural
 from seqcode.models import axioms as _axioms
 from seqcode.models import polynat, qext
 
@@ -38,10 +38,8 @@ class SampleBudget:
 
     def __post_init__(self):
         # Random(-s) draws what Random(s) draws: a negative seed repeats a stream
-        samples, seed = self.samples, self.seed
-        if type(samples) is not int or type(seed) is not int or samples < 0 or seed < 0:
-            shown = ", ".join(decimal_str(n) if type(n) is int else repr(n) for n in (samples, seed))
-            raise ValueError(f"samples and seed must be naturals, got {shown}")
+        _natural(self.samples, "samples")
+        _natural(self.seed, "seed")
 
 
 @dataclass(frozen=True)
@@ -101,8 +99,9 @@ def _sample_nat(rng: random.Random) -> Iterator[int]:
 
 
 def _polynat_box() -> tuple:
-    elems = {polynat.PolyNat(cs) for cs in itertools.product(range(4), repeat=3)}
-    return tuple(p.coeffs for p in sorted(elems))
+    # ascending in le's order: the degree first, then the coefficients from the top down
+    elems = {polynat.canonical(cs) for cs in itertools.product(range(4), repeat=3)}
+    return tuple(sorted(elems, key=lambda cs: (len(cs), cs[::-1])))
 
 
 def _sample_polynat(rng: random.Random) -> Iterator[tuple]:

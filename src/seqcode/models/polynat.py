@@ -1,11 +1,11 @@
 """Polynomials with nonnegative integer coefficients, ordered lexicographically.
 
 An element is a coefficient tuple, lowest degree first with no trailing
-zeros, and () is zero.  ``add``, ``mul``, ``le`` and ``subtract`` on such
-tuples are the one implementation: the lab's ``POLYNAT`` runs on them, and
-``PolyNat``, the checked public type, wraps them.  The order compares the
-lengths first and then reads the tuples from the highest position down, so
-degree dominates and ties fall through to lower coefficients.
+zeros, and () is zero.  The functions on such tuples are the one
+implementation: the lab's ``POLYNAT`` and the CLI run on them, and
+``PolyNat``, a frozen dataclass, only checks and wraps them.  The order
+compares the lengths first and then reads the tuples from the highest
+position down: degree dominates, and ties fall to lower coefficients.
 
 Under this order the carrier is a discretely ordered commutative semiring
 with least element 0, but one without subtraction: 1 < X, yet z + 1 = X
@@ -15,9 +15,10 @@ would force a constant coefficient with z0 + 1 = 0.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from seqcode._decimal import decimal_str, parse_decimal
+from seqcode._decimal import _natural, decimal_str, parse_decimal
 
 
 def add(a: tuple, b: tuple) -> tuple:
@@ -46,6 +47,14 @@ def le(a: tuple, b: tuple) -> bool:
     return len(a) < len(b) if len(a) != len(b) else a[::-1] <= b[::-1]
 
 
+def canonical(cs) -> tuple:
+    """The tuple of cs without trailing zeros."""
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 def subtract(p: tuple, q: tuple) -> Optional[tuple]:
     """The z with add(z, q) == p, or None when there is none.
 
@@ -53,11 +62,7 @@ def subtract(p: tuple, q: tuple) -> Optional[tuple]:
     coefficient, since addition never mixes positions.
     """
     diffs = [x - y for x, y in itertools.zip_longest(p, q, fillvalue=0)]
-    if any(d < 0 for d in diffs):
-        return None
-    while diffs and diffs[-1] == 0:
-        diffs.pop()
-    return tuple(diffs)
+    return None if any(d < 0 for d in diffs) else canonical(diffs)
 
 
 def to_json(cs: tuple) -> list[str]:
@@ -65,31 +70,41 @@ def to_json(cs: tuple) -> list[str]:
     return [decimal_str(c) for c in cs]
 
 
+def from_json(arr: Iterable[str]) -> tuple:
+    """The canonical tuple of a wire form; each coefficient must be a decimal natural."""
+    return canonical(parse_decimal(c) for c in arr)
+
+
+def show(cs: tuple) -> str:
+    """The polynomial as text, lowest degree first: "1 + 2*X + X^2"; "0" for ()."""
+    if not cs:
+        return "0"
+    terms = []
+    for i, c in enumerate(cs):
+        if c == 0:
+            continue
+        if i == 0:
+            terms.append(decimal_str(c))
+        elif i == 1:
+            terms.append("X" if c == 1 else f"{decimal_str(c)}*X")
+        else:
+            terms.append(f"X^{i}" if c == 1 else f"{decimal_str(c)}*X^{i}")
+    return " + ".join(terms)
+
+
+@dataclass(frozen=True, slots=True)
 class PolyNat:
     """The checked public type over the tuple functions; > and >= reach < and <= by reflection."""
-    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        for c in cs:
-            if type(c) is not int:
-                raise TypeError(f"coefficients must be ints, got {c!r}")
-            if c < 0:
-                raise ValueError(f"coefficients must be nonnegative, got {decimal_str(c)}")
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+    coeffs: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", canonical(_natural(c, "coefficients") for c in self.coeffs))
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for zero."""
         return len(self.coeffs) - 1
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, PolyNat) and self.coeffs == other.coeffs
 
     def __lt__(self, other):
         return not le(other.coeffs, self.coeffs) if isinstance(other, PolyNat) else NotImplemented
@@ -103,30 +118,15 @@ class PolyNat:
     def __mul__(self, other):
         return PolyNat(mul(self.coeffs, other.coeffs)) if isinstance(other, PolyNat) else NotImplemented
 
-    def __repr__(self):
-        return f"PolyNat({self.coeffs!r})"
-
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(decimal_str(c))
-            elif i == 1:
-                terms.append("X" if c == 1 else f"{decimal_str(c)}*X")
-            else:
-                terms.append(f"X^{i}" if c == 1 else f"{decimal_str(c)}*X^{i}")
-        return " + ".join(terms)
+        return show(self.coeffs)
 
     def to_json(self) -> list[str]:
         return to_json(self.coeffs)
 
     @classmethod
     def from_json(cls, arr: Iterable[str]) -> "PolyNat":
-        return cls(parse_decimal(c) for c in arr)
+        return cls(from_json(arr))
 
 
 ZERO = PolyNat()

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence
 
-from seqcode._decimal import decimal_str, parse_decimal
+from seqcode._decimal import _natural, decimal_str, parse_decimal
 
 
 class DomainError(ValueError):
@@ -56,14 +56,6 @@ def divisor_product(k: int, v: int) -> int:
     _natural(k, "k")
     _natural(v, "v")
     return math.prod(1 + t * v for t in range(1, k + 1))
-
-
-def _natural(n: int, what: str) -> int:
-    if type(n) is not int:
-        raise TypeError(f"{what} must be an int, got {type(n).__name__}")
-    if n < 0:
-        raise ValueError(f"{what} must be nonnegative, got {decimal_str(n)}")
-    return n
 
 
 class _Witness:

@@ -471,6 +471,22 @@ def test_a_build_is_one_recode_at_the_last_base():
                 h = seq_append(h, xs[k])
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 3), st.integers(0, 2**64 - 1), st.integers(0, 2**200)),
+                min_size=1, max_size=30))
+@example([0])
+@example([lcm_upto(12) * 2**100] + [5] * 11)
+def test_the_last_base_has_a_closed_form(xs):
+    # the rebase chain collapses: after k >= 1 entries the base is the least
+    # positive multiple of lcm(1..k) at least max(xs), so a build that recodes
+    # once at its last base needs no chain of bases
+    v = 0
+    for k, x in enumerate(xs, 1):
+        v = codec._rebase(v, lcm_upto(k), x)
+        assert v == codec._rebase(0, lcm_upto(k), max(xs[:k])), k
+    assert unpair(seq_build(xs).w)[1] == v
+
+
 def test_seq_contract_seeded_random():
     rng = random.Random(1815)
     for _ in range(40):

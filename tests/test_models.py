@@ -189,18 +189,22 @@ def test_engine_finds_planted_violation():
 
 
 def test_budget_takes_naturals_only():
-    for bad in ({"samples": -5}, {"seed": -3}, {"samples": 1.5},
-                {"seed": "3"}, {"samples": True}):
-        with pytest.raises(ValueError):
+    # the library's one rule for naturals: a non-int (a bool too) is a TypeError,
+    # a negative int a ValueError that names its field
+    for bad in ({"samples": 1.5}, {"seed": "3"}, {"samples": True}):
+        with pytest.raises(TypeError):
             SampleBudget(**bad)
+    for field, bad in (("samples", -5), ("seed", -3)):
+        with pytest.raises(ValueError, match=f"^{field} must be nonnegative, got {bad}$"):
+            SampleBudget(**{field: bad})
     assert SampleBudget(samples=0, seed=0) == SampleBudget(0, 0)
 
 
 def test_budget_message_shows_a_wide_int():
     wide = -(2**20000)
     with pytest.raises(ValueError) as info:
-        SampleBudget(samples=1.5, seed=wide)
-    assert str(info.value) == f"samples and seed must be naturals, got 1.5, {decimal_str(wide)}"
+        SampleBudget(seed=wide)
+    assert str(info.value) == f"seed must be nonnegative, got {decimal_str(wide)}"
 
 
 def test_one_generator_per_run(monkeypatch):

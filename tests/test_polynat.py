@@ -2,13 +2,16 @@
 
 import itertools
 import operator
+import random
 import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from seqcode.models.polynat import ONE, X, ZERO, PolyNat, add, mul, subtract
+from seqcode.models.polynat import (
+    ONE, X, ZERO, PolyNat, add, canonical, from_json, mul, show, subtract, to_json,
+)
 
 
 def small_box():
@@ -169,3 +172,47 @@ def test_order_agrees_with_the_degree_first_key(xs, ys):
     p, q = PolyNat(xs), PolyNat(ys)
     kp, kq = order_key(p), order_key(q)
     assert (p < q, p <= q, p > q, p >= q) == (kp < kq, kp <= kq, kp > kq, kp >= kq)
+
+
+def test_canonical_strips_trailing_zeros_only():
+    assert canonical(()) == () and canonical((0, 0)) == ()
+    assert canonical((0, 2, 0)) == (0, 2) and canonical([1, 0, 3]) == (1, 0, 3)
+    assert type(canonical([1, 0])) is tuple
+
+
+def test_show_fixed_values():
+    assert show(()) == "0"
+    assert show((1, 2, 1)) == "1 + 2*X + X^2"
+    assert show((0, 1)) == "X" and show((0, 0, 3)) == "3*X^2" and show((5, 1, 0, 1)) == "5 + X + X^3"
+
+
+def test_show_formats_wide_coefficients_past_the_int_str_cap():
+    # 5,001 digits, more than the default cap of 4,300 and the least of 640
+    wide = 10**5000
+    digits = "1" + "0" * 5000
+    assert show((wide,)) == digits
+    assert show((wide, wide, 1, wide)) == f"{digits} + {digits}*X + X^2 + {digits}*X^3"
+
+
+def test_from_json_takes_decimal_naturals_only():
+    for bad in ("+1", " 1", "1_0", "-1", "", "1.0"):
+        with pytest.raises(ValueError):
+            from_json(["0", bad])
+    with pytest.raises(TypeError):
+        from_json([1])
+    assert from_json(["1", "0"]) == (1,) and from_json([]) == ()
+
+
+def test_from_json_roundtrips_past_the_int_str_cap():
+    cs = (7**20000, 0, 1)  # about 16.9k digits, past the default cap of 4300
+    assert from_json(to_json(cs)) == cs
+
+
+def test_the_class_only_wraps_the_functions():
+    rng = random.Random(24)
+    for _ in range(300):
+        cs = tuple(rng.choice((0, 0, 1, 2, rng.getrandbits(80))) for _ in range(rng.randrange(6)))
+        wire = [str(c) for c in cs]
+        assert str(PolyNat(cs)) == show(canonical(cs))
+        assert PolyNat.from_json(wire).coeffs == from_json(wire) == canonical(cs)
+        assert repr(PolyNat(cs)) == f"PolyNat(coeffs={canonical(cs)!r})"
