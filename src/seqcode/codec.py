@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from seqcode._decimal import _natural, decimal_str, parse_decimal
-from seqcode.witness import _carries, _contract, _fold_step, _residues, lcm_upto, recode_extend
+from seqcode.witness import _carries, _contract, _levels, _residues, lcm_upto, recode_extend
 
 
 class NotAPairCode(ValueError):
@@ -154,7 +154,10 @@ def seq_build(xs: Iterable[int]) -> SeqHandle:
     ``pair`` at the end, so no code is unpaired.  The fold carries its
     entries, its level prefix and the step modulus lcm(1..k+1), grown by
     one ``math.lcm`` per entry: a step whose base holds runs only the new
-    level of the recode.  The result is checked once, against every entry.
+    level of the recode, and no step checks anything.  The result is
+    checked once: its base against the closed form, the least positive
+    multiple of lcm(1..k) at least every entry, then its code against
+    every entry; either failure is a RuntimeError.
     """
     u = v = 0
     entries, prefix, step = [], 1, 1
@@ -162,9 +165,14 @@ def seq_build(xs: Iterable[int]) -> SeqHandle:
         step = math.lcm(step, len(entries) + 1)
         v1 = _rebase(v, step, x)
         entries.append(x)
-        last, (u, prefix) = (u, v), _fold_step(u, v, v1, entries, prefix)
+        start = (u, prefix, len(entries) - 1) if v1 == v else (entries[0], 1, 1)
+        last, (u, prefix) = (u, v), _levels(entries, v1, *start)
         v = v1
-    if entries:  # the last step's contract, at every position
+    if entries:  # the base from lcm_upto alone, then the last step's contract
+        top, lcm = max(max(entries), 1), lcm_upto(len(entries))
+        if v % lcm or not top <= v < top + lcm:
+            raise RuntimeError(f"build base {decimal_str(v)} is not the least multiple of "
+                               f"lcm(1..{len(entries)}) at least {decimal_str(top)}")
         _contract(*last, v, entries, u)
     return SeqHandle(len(entries), pair(u, v))
 

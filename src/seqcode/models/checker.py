@@ -17,10 +17,10 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, Optional
 
-from seqcode._decimal import _natural
+from seqcode._decimal import _natural, decimal_str
 from seqcode.models import axioms as _axioms
 from seqcode.models import polynat, qext
 
@@ -81,8 +81,10 @@ class AxiomReport:
         return self.verdict == "pass"
 
     def to_json_line(self) -> str:
-        """One json line: every field, in declaration order."""
-        return json.dumps(asdict(self), separators=(",", ":"))
+        """One json line: every field, in declaration order, an int of any width in full."""
+        def dump(v):
+            return decimal_str(v) if type(v) is int else json.dumps(v, separators=(",", ":"))
+        return "{" + ",".join(f'"{f.name}":{dump(getattr(self, f.name))}' for f in fields(self)) + "}"
 
 
 MAX_EXHAUSTIVE = 4096  # cap on assignments enumerated in the exhaustive phase

@@ -264,18 +264,6 @@ def recode_extend(u: int, v: int, vprime: int, x: int, k: int) -> int:
     return _contract(u, v, vprime, residues, _recode(residues, vprime))
 
 
-def _fold_step(u: int, v: int, vprime: int, entries: list[int], prefix: int) -> tuple[int, int]:
-    # recode_extend for seq_build's fold, whose u is _recode(entries[:-1], v) and
-    # prefix prod(1 + t*v, t < k), k = len(entries) - 1: while the base holds
-    # (never at k = 0, where v = 0) only level k runs; unchecked, since seq_build
-    # checks its last step against every entry, which covers each level carried
-    violation = _recode_violation(v, vprime, entries[-1], len(entries) - 1)
-    if violation:
-        raise PreconditionViolated(violation)
-    start = (u, prefix, len(entries) - 1) if vprime == v else (entries[0], 1, 1)
-    return _levels(entries, vprime, *start)
-
-
 def _contract(u: int, v: int, vprime: int, residues: list[int], acc: int) -> int:
     # the self-check of an append step or a build: acc carries residues, x last, at vprime
     if not _carries(acc, vprime, residues):

@@ -126,6 +126,26 @@ def test_a_failed_self_check_exits_1(argv, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("multiple", [lambda step: max(step // 2, 1), lambda step: 2 * step],
+                         ids=["half-step", "double-step"])
+def test_a_build_off_the_closed_form_base_exits_1(multiple, monkeypatch, capsys):
+    # a faulty base rule: half the step is not divisible by 1..k, and twice it
+    # recodes validly onto a base that is not the specified one; the build's
+    # one base check names the base either way, an internal fault, not bad input
+    def rebase(v, step, x):
+        m = multiple(step)
+        return ((max(v, x, 1) + m - 1) // m) * m
+
+    monkeypatch.setattr(codec, "_rebase", rebase)
+    with pytest.raises(RuntimeError, match="^build base [0-9]+ is not the least multiple"):
+        codec.seq_build(range(1, 9))
+    assert cli.main(["encode", *map(str, range(1, 9))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: build base ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_a_recursion_error_is_not_a_failed_self_check(monkeypatch):
     def too_deep(_):
         raise RecursionError("maximum recursion depth exceeded")
@@ -290,6 +310,16 @@ def test_demo_q_pairing_json_is_the_qext_check(capsys):
     assert cli.main(["check-axioms", "--model", "qext", *budget]) == 0
     assert capsys.readouterr().out == demo
     assert demo.count("\n") == 8
+
+
+@pytest.mark.parametrize("command", [["check-axioms", "--model", "qext"], ["demo", "q-pairing"]])
+def test_json_reports_write_a_seed_past_the_int_str_cap(command, capsys):
+    # json.dumps str()s an int, which raises past the int-str cap; the seed is written in full
+    seed = "9" * 5000
+    assert cli.main([*command, "--json", "--samples", "1", "--seed", seed]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 8
+    assert all(line.endswith(f',"seed":{seed}}}') for line in lines)
 
 
 def test_negative_samples_exit_2():

@@ -420,6 +420,16 @@ def test_counterexample_report_json_bytes_are_pinned():
     )
 
 
+def test_report_json_writes_a_seed_past_the_int_str_cap():
+    # json.dumps would str() the int and raise past the cap; the line spells it in full
+    report = dataclasses.replace(check_axiom(NAT, "A1", SampleBudget(samples=3, seed=5)),
+                                 seed=10**5000 - 1)
+    assert report.to_json_line() == (
+        '{"model":"nat","axiom":"A1","samples":15,'
+        '"verdict":"pass","counterexample":null,"seed":' + "9" * 5000 + "}"
+    )
+
+
 def test_exhaustive_box_fits_the_cap():
     three_var = check_axiom(POLYNAT, "A3", SampleBudget(samples=0, seed=0))
     assert three_var.samples == 16 ** 3
