@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from seqcode._decimal import _natural, decimal_str, parse_decimal
-from seqcode.witness import _carries, _contract, _levels, _residues, lcm_upto, recode_extend
+from seqcode.witness import _carries, _contract, _levels, _recode, _residues, lcm_upto
 
 
 class NotAPairCode(ValueError):
@@ -130,21 +130,30 @@ def _rebase(v: int, step: int, x: int) -> int:
     return ((max(v, x, 1) + step - 1) // step) * step
 
 
+def _checked_base(write: str, v: int, n: int, lcm: int, top: int) -> int:
+    # the one base check of a write: v is the least multiple of lcm = lcm(1..n) at least top
+    if v % lcm or not top <= v < top + lcm:
+        raise RuntimeError(f"{write} base {decimal_str(v)} is not the least multiple of "
+                           f"lcm(1..{n}) at least {decimal_str(top)}")
+    return v
+
+
 def seq_append(s: SeqHandle, x: int) -> SeqHandle:
     """Append x after position s.len - 1 without disturbing earlier entries.
 
-    One step on the split form, then one ``pair``.  The code is unpaired
-    once into (u0, v0); an empty handle or a non-code starts from (0, 0),
-    i.e. code 0, which decodes to all zeros just as ``beta_total`` reads a
-    non-code.  Then it is rebased: the new modulus base v1 is the least
-    positive multiple of lcm(1..k+1) that is at least max(v0, x).
-    Divisibility by every position gap keeps the moduli pairwise coprime,
-    and v1 >= x makes x a legal remainder at the new position.
+    One step on the split form, then one ``pair``: the code is unpaired
+    once into (u0, v0), and an empty handle or a non-code starts from code
+    0, which reads as all zeros, as ``beta_total`` reads a non-code.  The new
+    base v1, the least positive multiple of lcm(1..k+1) at least max(v0, x),
+    keeps the moduli pairwise coprime and x a legal remainder.  As in
+    ``seq_build``, v1 is checked once against that closed form and the new
+    code once against every entry; either failure is a RuntimeError (exit 1).
     """
-    k = s.len
+    k, lcm = s.len, lcm_upto(s.len + 1)
     u, v = _split(s.w) if k else (0, 0)
-    v1 = _rebase(v, lcm_upto(k + 1), x)
-    return SeqHandle(k + 1, pair(recode_extend(u, v, v1, x, k), v1))
+    v1 = _checked_base("append", _rebase(v, lcm, x), k + 1, lcm, max(v, x, 1))
+    residues = _residues(u, v, k) + [x]
+    return SeqHandle(k + 1, pair(_contract(u, v, v1, residues, _recode(residues, v1)), v1))
 
 
 def seq_build(xs: Iterable[int]) -> SeqHandle:
@@ -169,11 +178,8 @@ def seq_build(xs: Iterable[int]) -> SeqHandle:
         last, (u, prefix) = (u, v), _levels(entries, v1, *start)
         v = v1
     if entries:  # the base from lcm_upto alone, then the last step's contract
-        top, lcm = max(max(entries), 1), lcm_upto(len(entries))
-        if v % lcm or not top <= v < top + lcm:
-            raise RuntimeError(f"build base {decimal_str(v)} is not the least multiple of "
-                               f"lcm(1..{len(entries)}) at least {decimal_str(top)}")
-        _contract(*last, v, entries, u)
+        n = len(entries)
+        _contract(*last, _checked_base("build", v, n, lcm_upto(n), max(*entries, 1)), entries, u)
     return SeqHandle(len(entries), pair(u, v))
 
 

@@ -146,6 +146,28 @@ def test_a_build_off_the_closed_form_base_exits_1(multiple, monkeypatch, capsys)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("multiple", [lambda step: max(step // 2, 1), lambda step: 2 * step],
+                         ids=["half-step", "double-step"])
+def test_an_append_off_the_closed_form_base_exits_1(multiple, monkeypatch, capsys):
+    # the same faulty base rules on an append: half the step is not divisible
+    # by 1..9, and twice it recodes validly onto a base that is not the
+    # specified one; the append's one base check names the base either way
+    h = codec.seq_build(range(1, 9))
+
+    def rebase(v, step, x):
+        m = multiple(step)
+        return ((max(v, x, 1) + m - 1) // m) * m
+
+    monkeypatch.setattr(codec, "_rebase", rebase)
+    with pytest.raises(RuntimeError, match=r"^append base [0-9]+ is not the least multiple of lcm\(1..9\)"):
+        codec.seq_append(h, 9)
+    assert cli.main(["append", "--len", "8", "--w", decimal_str(h.w), "--x", "9"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: append base ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_a_recursion_error_is_not_a_failed_self_check(monkeypatch):
     def too_deep(_):
         raise RecursionError("maximum recursion depth exceeded")
@@ -180,6 +202,24 @@ def test_verify_witness_valid_and_tampered(tmp_path):
     out = run_cli("verify-witness", str(bad))
     assert out.returncode == 1
     assert b"INVALID" in out.stdout
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing", "cannot read "),
+    ("directory", "cannot read "),
+    ("not-utf-8", "'utf-8' codec can't decode byte 0xff"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_verify_witness_on_an_unreadable_file_exits_2(target, reason, tmp_path, capsys):
+    path = tmp_path / target
+    if target == "directory":
+        path.mkdir()
+    elif target == "not-utf-8":
+        path.write_bytes(b'{"type": "\xff"}')
+    assert cli.main(["verify-witness", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {reason}")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_verify_witness_stdin_and_garbage():
@@ -457,6 +497,35 @@ def test_demo_q_pairing_exits_zero():
     assert out.returncode == 0
     assert b"AUTOMORPHISM" in out.stdout
     assert b"prose, not machine-checked" in out.stdout
+
+
+def test_demo_q_pairing_text_frames_the_qext_reports(capsys):
+    budget = ["--samples", "30", "--seed", "5"]
+    assert cli.main(["check-axioms", "--model", "qext", *budget]) == 0
+    reports = capsys.readouterr().out
+    assert reports.count("\n") == 8
+    assert cli.main(["demo", "q-pairing", *budget]) == 0
+    assert capsys.readouterr().out == (
+        "model qext: the naturals plus two absorbing atoms a0, a1\n"
+        "  a + x = a   n + a = a   n * a = a   a * 0 = 0   a * x = a (x != 0)\n"
+        + reports + cli._COUNTING_NOTE + "\n")
+
+
+@pytest.mark.parametrize("command", [["check-axioms", "--model", "qext"], ["demo", "q-pairing"]])
+def test_an_unexpected_qext_verdict_exits_1_after_every_report(command, monkeypatch, capsys):
+    real = checker.run_axiom
+
+    def run_axiom(m, ax, budget):
+        report = real(m, ax, budget)
+        return dataclasses.replace(report, verdict="counterexample") if ax.id == "Q3" else report
+
+    monkeypatch.setattr(checker, "run_axiom", run_axiom)
+    assert cli.main([*command, "--samples", "5"]) == 1
+    out, err = capsys.readouterr()
+    verdicts = [line.split()[1:3] for line in out.splitlines() if line.startswith("qext ")]
+    assert verdicts == [[q.id, "counterexample" if q.id == "Q3" else "pass"]
+                        for q in checker.QEXT.statements]
+    assert err == ""
 
 
 def test_demo_json_mode():

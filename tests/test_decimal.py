@@ -109,6 +109,15 @@ def test_decimal_str_matches_str(bits, seed, negative):
         assert parse_decimal(oracle_str(n)) == n
 
 
+def test_parse_decimal_at_163841_digits():
+    # 163,841 digits is the shortest text whose halving split leaves a piece
+    # no longer than the next split's width, which is then passed down whole
+    assert parse_decimal("1" + "0" * 163_840) == 10**163_840
+    rng = random.Random(163_841)
+    text = rng.choice("123456789") + "".join(rng.choices("0123456789", k=163_840))
+    assert decimal_str(parse_decimal(text)) == text
+
+
 def test_concurrent_conversions_are_correct_and_leave_the_cap():
     rng = random.Random(4)
     pool = [rng.getrandbits(rng.randrange(66_439, 199_316)) for _ in range(8)]  # 20k-60k digits

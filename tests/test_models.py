@@ -563,3 +563,11 @@ def test_run_axiom_accepts_custom_statements():
         lambda m, a: m.le(a[0], m.add(m.mul(a[0], a[0]), m.one)),
     )
     assert run_axiom(NAT, squares_grow, FAST).passed
+
+
+def test_a_violation_that_does_not_reproduce_is_an_unstable_evaluation():
+    # a counterexample is reported only once its assignment fails a second time
+    verdicts = iter([False])
+    flaky = ax.Axiom("FLAKY", 1, "fails once, then holds", (), lambda m, a: next(verdicts, True))
+    with pytest.raises(RuntimeError, match=r"^unstable evaluation of FLAKY on \(0,\)$"):
+        run_axiom(NAT, flaky, FAST)
