@@ -6,7 +6,7 @@ when a test failed.  ``trace`` sees this process only, so the one exempt code
 is what only ``python -m seqcode`` subprocesses run: ``__main__.py`` and the
 body of ``if __name__ == "__main__":``.  Run it from the repository root:
 
-    PYTHONPATH=src python tools/linecov.py [extra pytest arguments]
+    PYTHONPATH=src python tools/linecov.py
 
 Hypothesis runs at seed 0, so a run repeats exactly.
 """
@@ -40,12 +40,11 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main(pytest_args: list[str]) -> int:
+def main() -> int:
     import pytest
 
     tracer = trace.Trace(count=1, trace=0)
-    status = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider",
-                                          "--hypothesis-seed=0", *pytest_args])
+    status = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"])
     ran = {(Path(name).resolve(), line) for name, line in tracer.results().counts}
     missing = [f"{path.relative_to(ROOT)}:{line}"
                for path in sorted(SRC.rglob("*.py")) if path.name not in EXEMPT_FILES
@@ -58,4 +57,4 @@ def main(pytest_args: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
