@@ -36,7 +36,6 @@ from seqcode.witness import (
     PreconditionViolated,
     RecodeWitness,
     crt,
-    divides,
     divisor_product,
     factor_inverse,
     lcm_upto,

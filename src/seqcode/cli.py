@@ -217,8 +217,8 @@ def _build_parser() -> argparse.ArgumentParser:
     json_flag = argparse.ArgumentParser(add_help=False)
     json_flag.add_argument("--json", action="store_true", help="machine-readable output")
     sampling = argparse.ArgumentParser(add_help=False)
-    sampling.add_argument("--seed", type=natural, default=0, help="seed for sampled checks")
-    sampling.add_argument("--samples", type=natural, default=1000,
+    sampling.add_argument("--seed", type=natural, default=checker.SampleBudget.seed, help="seed for sampled checks")
+    sampling.add_argument("--samples", type=natural, default=checker.SampleBudget.samples,
                           help="random samples per checked statement")
 
     parser = argparse.ArgumentParser(

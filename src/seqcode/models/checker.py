@@ -97,7 +97,7 @@ def _sample_nat(rng: random.Random) -> Iterator[int]:
     while True:
         while (bits := getrandbits(8)) >= 129:
             pass
-        yield getrandbits(bits) if bits else 0
+        yield getrandbits(bits)  # getrandbits(0) is 0 and draws nothing
 
 
 def _polynat_box() -> tuple:
@@ -183,7 +183,7 @@ def _exhaustive_box(model: Model, arity: int) -> tuple:
     # boxes list their telling elements first (qext's atoms, then the
     # smallest values ascending), so truncation keeps those
     limit = len(model.box)
-    while limit > 1 and limit ** arity > MAX_EXHAUSTIVE:
+    while limit ** arity > MAX_EXHAUSTIVE:
         limit -= 1
     return model.box[:limit]
 

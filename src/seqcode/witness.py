@@ -34,13 +34,6 @@ class NotCoprime(ValueError):
     """CRT moduli share a nontrivial factor."""
 
 
-def divides(d: int, x: int) -> bool:
-    """True iff x = q*d for some q; divides(0, x) holds only for x = 0."""
-    _natural(d, "d")
-    _natural(x, "x")
-    return x % d == 0 if d else x == 0
-
-
 def lcm_upto(k: int) -> int:
     """Least common multiple of 1..k (1 when k = 0)."""
     return math.lcm(*range(1, _natural(k, "k") + 1))
@@ -196,7 +189,7 @@ def _product_violation(k: int, v: int, i: int) -> str | None:
     if i <= k:
         return f"need i > k, got i={decimal_str(i)}, k={decimal_str(k)}"
     for j in range(1, k + 1) if v else ():
-        if not divides(i - j, v):
+        if v % (i - j):
             return f"i - {j} = {decimal_str(i - j)} must divide v = {decimal_str(v)}"
     return None
 

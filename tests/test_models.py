@@ -444,6 +444,21 @@ def test_qext_exhaustive_box_keeps_its_atoms_at_every_arity():
     assert len(_exhaustive_box(QEXT, 2)) == len(QEXT.box) == 53
 
 
+def test_exhaustive_box_shrinks_to_one_element():
+    two = dataclasses.replace(NAT, box=(0, 1))
+    assert _exhaustive_box(two, 12) == (0, 1)  # 2**12 assignments fit the cap exactly
+    assert _exhaustive_box(two, 13) == (0,)
+
+
+def test_an_empty_box_stays_empty():
+    empty = dataclasses.replace(NAT, box=())
+    for arity in range(4):
+        assert _exhaustive_box(empty, arity) == ()
+        # on _recording_run's empty box, arity 0 has the one empty assignment, any other none
+        report, draws, seen = _recording_run(arity, samples=0, fail_at=2)
+        assert (report.verdict, report.samples, draws) == ("pass", 1 if arity == 0 else 0, [])
+
+
 # ---------------------------------------------------------------- verdicts
 
 

@@ -24,7 +24,6 @@ from seqcode.witness import (
     PreconditionViolated,
     RecodeWitness,
     crt,
-    divides,
     divisor_product,
     factor_inverse,
     lcm_upto,
@@ -35,13 +34,6 @@ from seqcode.witness import (
 
 
 # ---------------------------------------------------------------- basics
-
-
-def test_divides_fixed_values():
-    assert divides(3, 27720)
-    assert divides(1, 98765)
-    assert not divides(0, 5)
-    assert divides(0, 0)
 
 
 def test_lcm_upto_fixed_values():
@@ -55,7 +47,7 @@ def test_lcm_upto_divisibility():
     for k in range(1, 16):
         value = lcm_upto(k)
         for t in range(1, k + 1):
-            assert divides(t, value)
+            assert value % t == 0
 
 
 @pytest.mark.parametrize("fn, args, error, message", [
@@ -65,8 +57,9 @@ def test_lcm_upto_divisibility():
     (lcm_upto, (True,), TypeError, "k must be an int, got bool"),  # returned 1
     (crt, ([True], [3]), TypeError, "residue must be an int, got bool"),  # returned 1
     (crt, ([0], [3.0]), TypeError, "modulus must be an int, got float"),
-    (divides, (-2, 4), ValueError, "d must be nonnegative, got -2"),  # returned True
-    (divides, (2, -4), ValueError, "x must be nonnegative, got -4"),
+    # both ways into _product_violation, whose v % (i - j) reads naturals only
+    (product_inverse, (-1, 6, 4), ValueError, "k must be nonnegative, got -1"),
+    (InverseCertificate, (2, -6, 4, 1, 1, 1), ValueError, "v must be nonnegative, got -6"),
     (product_inverse, (2, 6, True), TypeError, "i must be an int, got bool"),  # reported need i > k
     (product_inverse, (2, -6, 4), ValueError, "v must be nonnegative, got -6"),
     (factor_inverse, (1, True, 0), TypeError, "i must be an int, got bool"),  # reported need i >= 2
@@ -120,7 +113,7 @@ def test_divisor_product_divisibility_sweep():
         for v in range(21):
             u = divisor_product(k, v)
             for t in range(1, k + 1):
-                assert divides(1 + t * v, u)
+                assert u % (1 + t * v) == 0
 
 
 # ---------------------------------------------------------------- factor inverses

@@ -1,8 +1,10 @@
 """Line-coverage gate over src/seqcode/, stdlib only.
 
-Runs the Tier-1 suite in this process under the stdlib ``trace`` module and
-exits 1, listing ``file:line``, when a line of ``src/seqcode/`` never ran or
-when a test failed.  ``trace`` sees this process only, so the one exempt code
+Runs the Tier-1 suite in this process under a ``sys.settrace`` line tracer
+and exits 1, listing ``file:line``, when a line of ``src/seqcode/`` never ran
+or when a test failed.  The tracer follows only frames whose code lies under
+``src/seqcode/``, so pytest and hypothesis run untraced, and it keys lines by
+full path.  It sees this process and its threads only, so the one exempt code
 is what only ``python -m seqcode`` subprocesses run: ``__main__.py`` and the
 body of ``if __name__ == "__main__":``.  Run it from the repository root:
 
@@ -16,7 +18,7 @@ from __future__ import annotations
 import ast
 import dis
 import sys
-import trace
+import threading
 import types
 from pathlib import Path
 
@@ -43,9 +45,29 @@ def executable_lines(path: Path) -> set[int]:
 def main() -> int:
     import pytest
 
-    tracer = trace.Trace(count=1, trace=0)
-    status = tracer.runfunc(pytest.main, ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"])
-    ran = {(Path(name).resolve(), line) for name, line in tracer.results().counts}
+    ran: set[tuple[Path, int]] = set()
+    paths: dict[str, Path | None] = {}  # co_filename -> its path if under SRC, else None
+
+    def lines(frame, event, arg):
+        if event == "line":
+            ran.add((paths[frame.f_code.co_filename], frame.f_lineno))
+        return lines
+
+    def calls(frame, event, arg):
+        # the global tracer runs once per new frame; only frames of SRC get a line tracer
+        name = frame.f_code.co_filename
+        if name not in paths:
+            path = Path(name).resolve()
+            paths[name] = path if path.is_relative_to(SRC) else None
+        return lines if paths[name] else None
+
+    threading.settrace(calls)
+    sys.settrace(calls)
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
     missing = [f"{path.relative_to(ROOT)}:{line}"
                for path in sorted(SRC.rglob("*.py")) if path.name not in EXEMPT_FILES
                for line in sorted(executable_lines(path)) if (path, line) not in ran]
