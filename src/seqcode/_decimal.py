@@ -2,9 +2,9 @@
 
 The process-wide int-str cap is never read or changed, so conversion is
 thread-safe at any size: a number of more than 640 digits, the smallest
-cap CPython allows, is split in halves, recursively, and only the pieces
-go through the builtin int() and str().  A split at 10**w is a split at
-5**w plus a binary shift, since 10**w = 5**w * 2**w: with
+cap CPython allows, is split in exact halves, recursively, and only the
+pieces go through the builtin int() and str().  A split at 10**w is a
+split at 5**w plus a binary shift, since 10**w = 5**w * 2**w: with
 q, r = divmod(n >> w, 5**w),
 
     n = q * 10**w + (r << w | n & (2**w - 1)),
@@ -29,25 +29,20 @@ def _powers(digits: int) -> list[tuple[int, int]]:
 
 
 def _to_str(n: int, powers) -> str:
-    # str(n) for 0 <= n < 10**(2 * last width); each low half is zero-padded
+    # str(n) for 0 <= n < 10**(2 * last width), maybe with leading zeros; every level splits
     if not powers:
         return str(n)
     (power, width), rest = powers[-1], powers[:-1]
-    high = n >> width
-    if high < power:  # n < 10**width
-        return _to_str(n, rest)
-    q, r = divmod(high, power)
+    q, r = divmod(n >> width, power)
     low = (r << width) | (n & ((1 << width) - 1))
     return _to_str(q, rest) + _to_str(low, rest).zfill(width)
 
 
 def _from_str(text: str, powers) -> int:
-    # int(text) for at most 2 * last width digits, one multiply, shift and add per split
+    # int(text) for exactly 2 * last width digits, one multiply, shift and add per split
     if not powers:
         return int(text)
     (power, width), rest = powers[-1], powers[:-1]
-    if len(text) <= width:
-        return _from_str(text, rest)
     return ((_from_str(text[:-width], rest) * power) << width) + _from_str(text[-width:], rest)
 
 
@@ -58,7 +53,7 @@ def decimal_str(n: int) -> str:
     if n < 0:
         return "-" + decimal_str(-n)
     # 0.30103 > log10(2), so this bounds the digit count from above
-    return _to_str(n, _powers(n.bit_length() * 30103 // 100000 + 1))
+    return _to_str(n, _powers(n.bit_length() * 30103 // 100000 + 1)).lstrip("0") or "0"
 
 
 def parse_decimal(text: str) -> int:
@@ -71,7 +66,8 @@ def parse_decimal(text: str) -> int:
         raise TypeError(f"expected a decimal string, got {type(text).__name__}")
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"not a decimal natural: {text!r}")
-    return _from_str(text, _powers(len(text)))
+    powers = _powers(len(text))
+    return _from_str(text.zfill(2 * powers[-1][1] if powers else 0), powers)
 
 
 def _natural(n: int, what: str) -> int:

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, including exit codes and determinism."""
 
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -46,9 +47,9 @@ def test_encode_single_entry_decodes_back():
 
 
 def test_decode_fixed_values():
-    assert json.loads(run_cli("decode", "2", "5544").stdout) == ["5", "3"]
-    assert json.loads(run_cli("decode", "0", "99").stdout) == []
-    assert json.loads(run_cli("decode", "1", "3").stdout) == ["0"]
+    assert run_cli("decode", "2", "5544").stdout == b'["5","3"]\n'
+    assert run_cli("decode", "0", "99").stdout == b"[]\n"
+    assert run_cli("decode", "1", "3").stdout == b'["0"]\n'
 
 
 def test_big_entries_cross_as_decimal_strings():
@@ -220,6 +221,13 @@ def test_verify_witness_on_an_unreadable_file_exits_2(target, reason, tmp_path, 
     assert out == ""
     assert err.startswith(f"error: {reason}")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_a_factor_inverse_witness_crosses_the_wire_and_verifies():
+    wire = str(witness.factor_inverse(3, 7, 5))
+    assert wire == '{"type":"factor-inverse","kprime":"3","i":"7","z":"5","pprime":"319","qprime":"138"}'
+    out = run_cli("verify-witness", "-", stdin=(wire + "\n").encode())
+    assert (out.returncode, out.stdout) == (0, b"factor-inverse: valid\n")
 
 
 def test_verify_witness_stdin_and_garbage():
@@ -413,11 +421,12 @@ def test_check_axioms_polynat_with_subtraction():
 
 
 def test_check_axioms_qext():
-    out = run_cli("check-axioms", "--model", "qext", "--samples", "40", "--json")
+    out = run_cli("check-axioms", "--model", "qext", "--samples", "50", "--json")
     assert out.returncode == 0
-    lines = [json.loads(l) for l in out.stdout.splitlines()]
-    assert [l["axiom"] for l in lines] == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7", "AUTOMORPHISM"]
-    assert all(l["verdict"] == "pass" for l in lines)
+    lines = out.stdout.splitlines()
+    assert [json.loads(l)["axiom"] for l in lines] == ["Q1", "Q2", "Q3", "Q4", "Q5", "Q6", "Q7",
+                                                       "AUTOMORPHISM"]
+    assert all(l.count(b'"verdict":"pass"') == 1 for l in lines)
 
 
 @pytest.mark.parametrize("flags, axiom", [
@@ -466,6 +475,14 @@ def test_demo_subtraction_exits_zero():
     out = run_cli("demo", "subtraction", "--samples", "50")
     assert out.returncode == 0
     assert b"z0 + 1 = 0" in out.stdout
+
+
+def test_demo_subtraction_text_is_pinned():
+    # the whole report at the default budget, through the tuple functions that read and print the pair
+    out = run_cli("demo", "subtraction")
+    assert out.returncode == 0
+    assert hashlib.sha256(out.stdout).hexdigest() == (
+        "e4b130360c262728b57ac16fc277e5b836ebb58da41551375d56302c3ccf7154")
 
 
 @pytest.mark.parametrize("model, verdict, counterexample", [
@@ -529,13 +546,11 @@ def test_an_unexpected_qext_verdict_exits_1_after_every_report(command, monkeypa
 
 
 def test_demo_json_mode():
-    out = run_cli("demo", "subtraction", "--samples", "30", "--json")
+    # the polynat countermodel: 1 <= X holds, yet no z has z + 1 = X
+    out = run_cli("demo", "subtraction", "--json")
     assert out.returncode == 0
-    obj = json.loads(out.stdout)
-    assert obj["polynat_verdict"] == "counterexample"
-    assert obj["nat_verdict"] == "pass"
-    assert obj["order_holds"] is True
-    assert obj["solvable"] is False
+    assert out.stdout == (b'{"pair":{"x":["1"],"y":["0","1"]},"order_holds":true,"solvable":false,'
+                          b'"polynat_verdict":"counterexample","nat_verdict":"pass"}\n')
 
 
 def test_unknown_subcommand_exits_2():

@@ -109,9 +109,23 @@ def test_decimal_str_matches_str(bits, seed, negative):
         assert parse_decimal(oracle_str(n)) == n
 
 
+def test_every_length_through_three_levels_matches_the_builtins():
+    # a text of up to 640 << 2 = 2,560 digits splits at most twice, in exact
+    # halves, so 1 to 2,600 digits walks every padding of zero, one and two
+    # levels, and on into three
+    rng = random.Random(2600)
+    for digits in range(1, 2601):
+        n = rng.randrange(10 ** (digits - 1), 10**digits)
+        text = oracle_str(n)
+        assert decimal_str(n) == text
+        assert parse_decimal(text) == n
+        assert parse_decimal("0" * 700 + text) == n
+    assert decimal_str(0) == "0" and parse_decimal("0" * 700) == 0
+
+
 def test_parse_decimal_at_163841_digits():
-    # 163,841 digits is the shortest text whose halving split leaves a piece
-    # no longer than the next split's width, which is then passed down whole
+    # 163,841 digits is the shortest text that takes nine levels of exact
+    # halves: its leaves are 321 digits wide, and it is padded to 321 << 9
     assert parse_decimal("1" + "0" * 163_840) == 10**163_840
     rng = random.Random(163_841)
     text = rng.choice("123456789") + "".join(rng.choices("0123456789", k=163_840))
