@@ -30,8 +30,30 @@ class NotAPairCode(ValueError):
 
 
 # floor square root, the s with s*s <= n < (s+1)*(s+1): integer-only, so exact
-# at any size, and ValueError for n < 0
+# at any size, and ValueError for n < 0; the leaf of _sqrtrem
 isqrt = math.isqrt
+
+_ROOT_LEAF = 2048  # widths that take one isqrt: 1,024-3,072 timed alike, 4,096+ slower
+
+
+def _sqrtrem(n: int) -> tuple[int, int]:
+    # (s, r) with s = isqrt(n) and r = n - s*s: Zimmermann's Karatsuba square
+    # root (INRIA RR-3805, 1999), one isqrt at its leaf and no full-width square
+    if n.bit_length() <= _ROOT_LEAF:
+        s = isqrt(n)
+        r = n - s * s
+    else:  # n >> 2k >= 2**(2k-1), so s1 >= 2**(k-1) and one correction suffices
+        k = n.bit_length() // 4
+        mask = (1 << k) - 1
+        s1, r1 = _sqrtrem(n >> 2 * k)
+        q, u = divmod(r1 << k | n >> k & mask, 2 * s1)
+        s, r = (s1 << k) + q, (u << k | n & mask) - q * q
+        if r < 0:
+            s, r = s - 1, r + 2 * s - 1
+    # s*s + r == n holds by construction, so s is the floor root iff 0 <= r <= 2s
+    if not 0 <= r <= 2 * s:
+        raise RuntimeError("a square root failed its check: s*s <= n < (s+1)**2 does not hold")
+    return s, r
 
 
 def pair(x: int, y: int) -> int:
@@ -45,11 +67,10 @@ def unpair(w: int) -> tuple[int, int]:
     """Invert ``pair``; raises NotAPairCode when w has no preimage.
 
     For s = isqrt(w) the only candidate is x = w - s*s, y = s - x, and it
-    works exactly when w - s*s <= s.
+    works exactly when w - s*s <= s; ``_sqrtrem`` gives s and x at once.
     """
     _natural(w, "w")
-    s = isqrt(w)
-    x = w - s * s
+    s, x = _sqrtrem(w)
     if x > s:
         raise NotAPairCode(w)
     return x, s - x
@@ -58,8 +79,8 @@ def unpair(w: int) -> tuple[int, int]:
 def is_pair_code(w: int) -> bool:
     """True iff w = pair(x, y) for some x, y."""
     _natural(w, "w")
-    s = isqrt(w)
-    return w - s * s <= s
+    s, r = _sqrtrem(w)
+    return r <= s
 
 
 def beta(w: int, i: int) -> int | None:

@@ -169,6 +169,23 @@ def test_an_append_off_the_closed_form_base_exits_1(multiple, monkeypatch, capsy
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+WIDE_W = decimal_str(codec.seq_build(range(2**64, 2**64 + 16)).w)  # ~32k bits
+
+
+@pytest.mark.parametrize("argv", [["decode", "16", WIDE_W],
+                                  ["append", "--len", "16", "--w", WIDE_W, "--x", "9"]],
+                         ids=["decode", "append"])
+def test_a_wrong_square_root_exits_1(argv, monkeypatch, capsys):
+    # a leaf root one too large fails _sqrtrem's own check: no wrong decode
+    real_isqrt = codec.isqrt
+    monkeypatch.setattr(codec, "isqrt", lambda n: real_isqrt(n) + 1)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a square root failed its check")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_a_recursion_error_is_not_a_failed_self_check(monkeypatch):
     def too_deep(_):
         raise RecursionError("maximum recursion depth exceeded")

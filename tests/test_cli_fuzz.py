@@ -7,6 +7,9 @@ junk tokens, naturals of up to 40 digits, and handles one entry over
 negatives, nested values, or missing); and well-formed witnesses, every
 field a natural decimal string, some wider than the default int-str cap
 of 4,300 digits, which must end in a verdict, exit 0 or 1, never exit 2.
+A fourth property decodes codes ``pair(u, v) + d``, d in {-1, 0, 1}, with
+u and v up to 3,000 bits, so that the square root recurses above its leaf,
+and compares every printed entry with the remainder definition.
 Each example must finish within a time cap.  ``--samples`` stays at most
 50 or goes above ``MAX_SAMPLES``, where it exits 2 at once: in between,
 the sampled phase's cost is the budget the caller asks for.  For the same
@@ -16,13 +19,14 @@ verify's cost grows with them, within bounds set by the witness size.
 Out of scope: cost in a code's *width*.  The length of a handle is bounded
 by ``MAX_LEN``, but appending onto a code of some 100k digits still runs
 for minutes through the unreduced recoding; that is a known defect,
-listed among the open items of ROADMAP.md, and these naturals stay at 40
-digits.
+listed among the open items of ROADMAP.md, and the other naturals stay at
+40 digits.
 """
 
 import contextlib
 import io
 import json
+import math
 import time
 from unittest import mock
 
@@ -31,6 +35,7 @@ from hypothesis import strategies as st
 
 from seqcode import cli
 from seqcode._decimal import decimal_str
+from seqcode.codec import pair
 
 TIME_CAP_S = 2.0
 FUZZ = settings(deadline=None, max_examples=60)
@@ -201,3 +206,30 @@ def test_a_well_formed_witness_gets_a_verdict(obj, as_json):
         assert json.loads(out) == {"type": obj["type"], "valid": code == 0}
     else:
         assert out == f"{obj['type']}: {'valid' if code == 0 else 'INVALID'}\n"
+
+
+def _entries_by_definition(w, k):
+    # the remainder definition, split by the stdlib root: a non-code reads as zeros
+    s = math.isqrt(w)
+    u = w - s * s
+    return [u % (1 + (i + 1) * (s - u)) if u <= s else 0 for i in range(k)]
+
+
+# widths first, as a bounded draw crowds at its top; v of 1,025 bits or more
+# puts every code above the square root's leaf of 2,048 bits
+wide_us = st.integers(min_value=0, max_value=3000).flatmap(lambda b: st.integers(0, 2**b))
+wide_vs = st.integers(min_value=1025, max_value=3000).flatmap(
+    lambda b: st.integers(2**(b - 1), 2**b - 1))
+
+
+@FUZZ
+@given(wide_us, wide_vs, st.sampled_from([-1, 0, 1]),
+       st.integers(min_value=0, max_value=cli.MAX_LEN))
+@example(2**3000 - 1, 2**2999, -1, 3)
+@example(0, 2**3000 - 1, -1, 2)  # s*s - 1, the largest remainder at root s - 1
+def test_decode_of_a_wide_code_or_its_neighbour_reads_the_definition(u, v, d, k):
+    w = pair(u, v) + d
+    assume(w >= 0)
+    code, out, _ = _run(["decode", str(k), decimal_str(w)])
+    assert code == 0
+    assert json.loads(out) == [decimal_str(x) for x in _entries_by_definition(w, k)]

@@ -98,6 +98,76 @@ def test_isqrt_oracle(n):
     assert s * s <= n < (s + 1) * (s + 1)
 
 
+def _assert_sqrtrem(n, root=None):
+    s, r = codec._sqrtrem(n)
+    assert s == (math.isqrt(n) if root is None else root), n.bit_length()
+    assert s * s + r == n and 0 <= r <= 2 * s
+
+
+def _root_widths():
+    # every 61st width up to 20,000 bits, then each side of the widths where the
+    # recursion gains a level, and one past 1M bits (the stdlib root there
+    # takes ~0.2 s a call)
+    yield from range(0, 20001, 61)
+    for j in range(9):
+        yield from (codec._ROOT_LEAF * 2**j - 3, codec._ROOT_LEAF * 2**j + 3)
+    yield codec._ROOT_LEAF * 2**9 + 3
+
+
+def test_sqrtrem_against_the_stdlib_root_at_every_width():
+    rng = random.Random(29)
+    for b in _root_widths():
+        n = rng.getrandbits(b)
+        h = math.isqrt(n)
+        _assert_sqrtrem(n, h)
+        _assert_sqrtrem(2**b - 1)
+        _assert_sqrtrem(2**b)
+        # squares and their neighbours, whose roots are known: h*h - 1 and
+        # h*h + 2h carry the largest remainder, 2s
+        _assert_sqrtrem(h * h, h)
+        _assert_sqrtrem(max(h * h - 1, 0), max(h - 1, 0))
+        _assert_sqrtrem(h * h + 2 * h, h)
+
+
+# the width first: a plain bounded draw crowds at 30,000 bits
+@given(st.integers(min_value=0, max_value=30000).flatmap(lambda b: st.integers(0, 2**b)))
+def test_sqrtrem_oracle(n):
+    _assert_sqrtrem(n)
+
+
+def test_a_wide_split_takes_one_root_at_the_leaf(monkeypatch):
+    # the k = 24 code is ~75k bits; its one isqrt sees at most _ROOT_LEAF of them
+    xs = [random.Random(24).getrandbits(64) for _ in range(24)]
+    h = seq_build(xs)
+    assert h.w.bit_length() > 70000
+    roots, real_isqrt = [], codec.isqrt
+    monkeypatch.setattr(codec, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
+    assert pair(*unpair(h.w)) == h.w
+    assert [n.bit_length() <= codec._ROOT_LEAF for n in roots] == [True]
+    roots.clear()
+    assert seq_decode(h) == xs  # still one split, so one root, per entry
+    assert len(roots) == 24 and max(roots).bit_length() <= codec._ROOT_LEAF
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_a_wrong_leaf_root_fails_the_self_check(off, monkeypatch):
+    w = seq_build(range(2**64, 2**64 + 16)).w
+    monkeypatch.setattr(codec, "isqrt", lambda n: math.isqrt(n) + off)
+    for split in (unpair, is_pair_code, lambda w: beta_total(w, 3)):
+        with pytest.raises(RuntimeError, match="^a square root failed its check"):
+            split(w)
+
+
+def test_non_codes_above_the_root_leaf():
+    s = random.Random(40).getrandbits(40000) | 1 << 39999
+    assert unpair(s * s + s) == (s, 0) and is_pair_code(s * s + s)
+    for w in (s * s + s + 1, s * s + 2 * s):  # past the window x <= s, short of (s+1)**2
+        assert not is_pair_code(w)
+        with pytest.raises(NotAPairCode):
+            unpair(w)
+        assert beta_total(w, 0) == beta_total(w, 7) == 0
+
+
 def test_unpair_fixed_values():
     assert unpair(10) == (1, 2)
     assert unpair(0) == (0, 0)
