@@ -12,9 +12,62 @@ q, r = divmod(n >> w, 5**w),
 and that low half is below 10**w.  Only the powers of five are computed,
 per call.  Decimal strings are the only wire format for naturals here: no
 precision is ever lost, and only plain ASCII digits are accepted.
+
+Every wide division here, the square root's and the residue reader's too,
+is ``_divmod``: Burnikel and Ziegler's recursive division (MPI-I-98-1-022,
+1998).  The builtin divmod uses it for wide operands from CPython 3.12 on,
+but is schoolbook, quadratic, on 3.10 and 3.11; one code path serves all.
 """
 
 _PIECE = 640  # sys.int_info.str_digits_check_threshold
+_DIV_LEAF = 4000  # divisor or quotient widths for one builtin divmod: 2,000-4,000 timed alike
+
+
+def _divmod(a: int, b: int) -> tuple[int, int]:
+    # divmod(a, b) for naturals a and b > 0: the builtin where the divisor or
+    # the quotient has at most _DIV_LEAF bits, else Burnikel and Ziegler's
+    n = b.bit_length()
+    if n <= _DIV_LEAF or a.bit_length() - n <= _DIV_LEAF:
+        return divmod(a, b)
+    if a >> n < b:
+        q, r = _div2n1n(a, b, n)
+    else:  # top down over a's base-2**n digits: the high half, then r and the low half
+        shift = a.bit_length() // n // 2 * n
+        q, r = _divmod(a >> shift, b)
+        low, r = _divmod(r << shift | a & ((1 << shift) - 1), b)
+        q = q << shift | low
+    # a == q*b + r holds by construction, so q is the floor quotient iff 0 <= r < b
+    if not 0 <= r < b:
+        raise RuntimeError("a division failed its check: 0 <= r < b does not hold")
+    return q, r
+
+
+def _div2n1n(a: int, b: int, n: int) -> tuple[int, int]:
+    # divmod(a, b) for b of exactly n bits and a < b << n: two 3n/2n steps on
+    # half-width digits, with a and b shifted one bit when n is odd
+    if a.bit_length() - n <= _DIV_LEAF:
+        return divmod(a, b)
+    pad = n & 1
+    a, b, n = a << pad, b << pad, n + pad
+    half = n >> 1
+    mask = (1 << half) - 1
+    b1, b2 = b >> half, b & mask
+    q1, r = _div3n2n(a >> n, a >> half & mask, b, b1, b2, half)
+    q2, r = _div3n2n(r, a & mask, b, b1, b2, half)
+    return q1 << half | q2, r >> pad
+
+
+def _div3n2n(a12: int, a3: int, b: int, b1: int, b2: int, n: int) -> tuple[int, int]:
+    # divmod(a12 << n | a3, b) for b = b1 << n | b2 of 2n bits and a12 < b: the
+    # quotient of a12 by b1, all ones if that overflows n bits, overshoots by <= 2
+    if a12 >> n == b1:
+        q, r = (1 << n) - 1, a12 - (b1 << n) + b1
+    else:
+        q, r = _div2n1n(a12, b1, n)
+    r = (r << n | a3) - q * b2
+    while r < 0:
+        q, r = q - 1, r + b
+    return q, r
 
 
 def _powers(digits: int) -> list[tuple[int, int]]:
@@ -33,7 +86,7 @@ def _to_str(n: int, powers) -> str:
     if not powers:
         return str(n)
     (power, width), rest = powers[-1], powers[:-1]
-    q, r = divmod(n >> width, power)
+    q, r = _divmod(n >> width, power)
     low = (r << width) | (n & ((1 << width) - 1))
     return _to_str(q, rest) + _to_str(low, rest).zfill(width)
 
@@ -64,7 +117,7 @@ def parse_decimal(text: str) -> int:
     """
     if not isinstance(text, str):
         raise TypeError(f"expected a decimal string, got {type(text).__name__}")
-    if not (text.isascii() and text.isdigit()):
+    if not (text.isascii() and text.encode("ascii").isdigit()):
         raise ValueError(f"not a decimal natural: {text!r}")
     powers = _powers(len(text))
     return _from_str(text.zfill(2 * powers[-1][1] if powers else 0), powers)

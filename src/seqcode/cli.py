@@ -78,9 +78,10 @@ def _cmd_append(args) -> int:
     handle = codec.seq_append(codec.SeqHandle(args.len, args.w), args.x)
     if args.json:
         _print({**handle.to_json(), "verified": True})
-    else:
+    else:  # w is formatted first: a failed conversion leaves stdout empty
+        w = decimal_str(handle.w)
         print(f"len      {handle.len}")
-        print(f"w        {decimal_str(handle.w)}")
+        print(f"w        {w}")
         print("verified true")
     return EXIT_OK
 

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from seqcode._decimal import _natural, decimal_str, parse_decimal
+from seqcode._decimal import _divmod, _natural, decimal_str, parse_decimal
 from seqcode.witness import _carries, _contract, _levels, _recode, _residues, lcm_upto
 
 
@@ -38,7 +38,8 @@ _ROOT_LEAF = 2048  # widths that take one isqrt: 1,024-3,072 timed alike, 4,096+
 
 def _sqrtrem(n: int) -> tuple[int, int]:
     # (s, r) with s = isqrt(n) and r = n - s*s: Zimmermann's Karatsuba square
-    # root (INRIA RR-3805, 1999), one isqrt at its leaf and no full-width square
+    # root (INRIA RR-3805, 1999), one isqrt at its leaf, no full-width square,
+    # and one subquadratic _divmod per level
     if n.bit_length() <= _ROOT_LEAF:
         s = isqrt(n)
         r = n - s * s
@@ -46,7 +47,7 @@ def _sqrtrem(n: int) -> tuple[int, int]:
         k = n.bit_length() // 4
         mask = (1 << k) - 1
         s1, r1 = _sqrtrem(n >> 2 * k)
-        q, u = divmod(r1 << k | n >> k & mask, 2 * s1)
+        q, u = _divmod(r1 << k | n >> k & mask, 2 * s1)
         s, r = (s1 << k) + q, (u << k | n & mask) - q * q
         if r < 0:
             s, r = s - 1, r + 2 * s - 1

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import ClassVar, Sequence
 
-from seqcode._decimal import _natural, decimal_str, parse_decimal
+from seqcode._decimal import _divmod, _natural, decimal_str, parse_decimal
 
 
 class DomainError(ValueError):
@@ -290,7 +290,7 @@ def _residues(u: int, v: int, k: int) -> list[int]:
         if product > u:
             break
     else:
-        u %= product
+        u = _divmod(u, product)[1]
     return [u % (1 + t * v) for t in range(1, k + 1)]
 
 

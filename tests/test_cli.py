@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from seqcode import cli, codec, witness
+from seqcode import _decimal, cli, codec, witness
 from seqcode._decimal import decimal_str
 from seqcode.models import checker
 
@@ -183,6 +183,30 @@ def test_a_wrong_square_root_exits_1(argv, monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: a square root failed its check")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["decode", "16", WIDE_W],
+    ["append", "--len", "16", "--w", WIDE_W, "--x", "9"],
+    # a narrow split and recode, then a ~28k-bit code to print: text and --json
+    ["append", "--len", "0", "--w", "0", "--x", decimal_str(2**14000)],
+    ["append", "--len", "0", "--w", "0", "--x", decimal_str(2**14000), "--json"],
+], ids=["decode", "append", "append-print", "append-print-json"])
+def test_a_wrong_division_exits_1_before_any_output(argv, monkeypatch, capsys):
+    # a 2n/1n step one off fails _divmod's own check: no wrong decode, and no
+    # len line left on stdout by an append whose code then fails to print
+    real = _decimal._div2n1n
+
+    def div2n1n(a, b, n):
+        q, r = real(a, b, n)
+        return q + 1, r - b
+
+    monkeypatch.setattr(_decimal, "_div2n1n", div2n1n)
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: a division failed its check")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

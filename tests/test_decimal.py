@@ -1,5 +1,6 @@
 """Decimal-string boundary: naturals only, and the int-str cap is never read or changed."""
 
+import math
 import random
 import sys
 import threading
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqcode._decimal import decimal_str, parse_decimal
+from seqcode import _decimal, codec, witness
+from seqcode._decimal import _DIV_LEAF, _divmod, decimal_str, parse_decimal
 
 
 def oracle_str(n: int) -> str:
@@ -21,7 +23,7 @@ def oracle_str(n: int) -> str:
         sys.set_int_max_str_digits(cap)
 
 
-@pytest.mark.parametrize("text", ["-3", "+3", " 3", "3 ", "1_000", "", "3.0", "٣"])
+@pytest.mark.parametrize("text", ["-3", "+3", " 3", "3 ", "1_000", "", "3.0", "٣", "１", "²"])
 def test_parse_decimal_rejects_non_naturals(text):
     with pytest.raises(ValueError):
         parse_decimal(text)
@@ -162,3 +164,97 @@ def test_concurrent_conversions_are_correct_and_leave_the_cap():
     assert not any(thread.is_alive() for thread in threads)
     assert errors == []
     assert sys.get_int_max_str_digits() == cap
+
+
+def _divmod_cases(w, rng):
+    # divisors of exactly w bits: random, 2**(w-1), 2**w - 1, and one whose
+    # low half is all ones, where the top-half estimate overshoots the most;
+    # dividends just below, at and above b * 2**w, exact multiples, the
+    # largest remainder, and random ones of 2w and 3w bits
+    top = 1 << w - 1
+    for b in (rng.getrandbits(w) | top, top, 2 * top - 1, top | (1 << w // 2) - 1):
+        q = rng.getrandbits(w)
+        for a in ((b << w) - 1, b << w, (b << w) + 1, q * b, q * b + b - 1,
+                  rng.getrandbits(2 * w), rng.getrandbits(3 * w)):
+            yield a, b
+    b = rng.getrandbits(2 * _DIV_LEAF) | 1 << 2 * _DIV_LEAF - 1
+    for qw in (w, _DIV_LEAF - 1, _DIV_LEAF, _DIV_LEAF + 1):  # quotients at the leaf's edge
+        yield b * rng.getrandbits(qw) + rng.randrange(b), b
+
+
+def test_divmod_matches_the_builtin_at_every_level(monkeypatch):
+    # widths on each side of the levels of the recursion, with a record of
+    # the steps taken: every branch of the 2n/1n and 3n/2n steps is reached
+    pads, tops, fixes = [], [], []
+    real_2n1n, real_3n2n = _decimal._div2n1n, _decimal._div3n2n
+
+    def div2n1n(a, b, n):
+        pads.append(n & 1 and a.bit_length() - n > _DIV_LEAF)
+        return real_2n1n(a, b, n)
+
+    def div3n2n(a12, a3, b, b1, b2, n):
+        estimate = (1 << n) - 1 if a12 >> n == b1 else a12 // b1
+        tops.append(a12 >> n == b1)
+        fixes.append(estimate > (a12 << n | a3) // b)
+        return real_3n2n(a12, a3, b, b1, b2, n)
+
+    monkeypatch.setattr(_decimal, "_div2n1n", div2n1n)
+    monkeypatch.setattr(_decimal, "_div3n2n", div3n2n)
+    rng = random.Random(30)
+    for w in [_DIV_LEAF * 2**j + d for j in range(5) for d in (-3, 3)]:
+        for a, b in _divmod_cases(w, rng):
+            assert _divmod(a, b) == divmod(a, b), (a.bit_length(), b.bit_length())
+    assert any(pads) and any(tops) and any(fixes)
+    assert _divmod(0, 3) == (0, 0) and _divmod(2**9000, 1) == (2**9000, 0)
+    with pytest.raises(ZeroDivisionError):
+        _divmod(5, 0)
+
+
+# the width first: a plain bounded draw crowds at the top width
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 24_000).flatmap(lambda w: st.tuples(st.integers(0, 2 ** (3 * w)),
+                                                          st.integers(1, 2**w))))
+def test_divmod_oracle(ab):
+    a, b = ab
+    assert _divmod(a, b) == divmod(a, b)
+
+
+def test_no_builtin_division_is_wide_on_both_sides(monkeypatch):
+    # the builtin, schoolbook on CPython 3.10 and 3.11, divides only where the
+    # divisor or the quotient is at most _DIV_LEAF bits (+1 for the odd-n pad),
+    # and each wide operation divides through _divmod
+    calls = []
+
+    def spy(a, b):
+        q, r = divmod(a, b)
+        calls.append(min(b.bit_length(), q.bit_length()))
+        return q, r
+
+    for module in (_decimal, codec, witness):
+        monkeypatch.setattr(module, "divmod", spy, raising=False)
+    rng = random.Random(336)
+    n, m = rng.getrandbits(336_000), rng.getrandbits(1_000_000)
+    u, v = rng.getrandbits(1_000_000), rng.getrandbits(10_000)
+    wide = [(lambda: codec._sqrtrem(n), (math.isqrt(n), n - math.isqrt(n) ** 2)),
+            (lambda: parse_decimal(decimal_str(m)), m),
+            (lambda: witness._residues(u, v, 8), [u % (1 + t * v) for t in range(1, 9)])]
+    for operation, expected in wide:
+        calls.clear()
+        assert operation() == expected
+        assert len(calls) > 10 and max(calls) <= _DIV_LEAF + 1
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_an_off_by_one_division_fails_its_check(off, monkeypatch):
+    real = _decimal._div2n1n
+
+    def div2n1n(a, b, n):  # a == q*b + r still holds, but r leaves [0, b)
+        q, r = real(a, b, n)
+        return q + off, r - off * b
+
+    monkeypatch.setattr(_decimal, "_div2n1n", div2n1n)
+    b = random.Random(off).getrandbits(3 * _DIV_LEAF) | 1
+    with pytest.raises(RuntimeError, match="^a division failed its check"):
+        _divmod(b * b + 7, b)
+    with pytest.raises(RuntimeError, match="^a division failed its check"):
+        decimal_str(10**20000)
