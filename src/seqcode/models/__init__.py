@@ -21,5 +21,4 @@ from seqcode.models.checker import (
     check_axiom,
     run_axiom,
 )
-from seqcode.models.polynat import PolyNat
 from seqcode.models.qext import A0, A1, qext_swap

@@ -2,8 +2,8 @@
 
 An element is a coefficient tuple, lowest degree first with no trailing
 zeros, and () is zero.  The functions on such tuples are the one
-implementation: the lab's ``POLYNAT`` and the CLI run on them, and
-``PolyNat``, a frozen dataclass, only checks and wraps them.  The order
+implementation of the carrier: its sum, product, order, subtraction, text
+and wire form.  The lab's ``POLYNAT`` and the CLI run on them.  The order
 compares the lengths first and then reads the tuples from the highest
 position down: degree dominates, and ties fall to lower coefficients.
 
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Optional
 
 from seqcode._decimal import _natural, decimal_str, parse_decimal
 
@@ -70,8 +70,10 @@ def to_json(cs: tuple) -> list[str]:
     return [decimal_str(c) for c in cs]
 
 
-def from_json(arr: Iterable[str]) -> tuple:
-    """The canonical tuple of a wire form; each coefficient must be a decimal natural."""
+def from_json(arr: list[str]) -> tuple:
+    """The canonical tuple of a wire form: a list, else TypeError, of decimal naturals."""
+    if not isinstance(arr, list):
+        raise TypeError(f"expected a list of decimal strings, got {type(arr).__name__}")
     return canonical(parse_decimal(c) for c in arr)
 
 
@@ -94,41 +96,19 @@ def show(cs: tuple) -> str:
 
 @dataclass(frozen=True, slots=True)
 class PolyNat:
-    """The checked public type over the tuple functions; > and >= reach < and <= by reflection."""
+    """A checked coefficient tuple, ordered by ``le``; > and >= reach < and <= by reflection.
+
+    Only the benchmark tracer uses it, counting calls of ``PolyNat.__lt__``;
+    the class goes with that counter (ROADMAP items 2 and 13).
+    """
 
     coeffs: tuple[int, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "coeffs", canonical(_natural(c, "coefficients") for c in self.coeffs))
 
-    @property
-    def degree(self) -> int:
-        """Degree of the polynomial; -1 for zero."""
-        return len(self.coeffs) - 1
-
     def __lt__(self, other):
         return not le(other.coeffs, self.coeffs) if isinstance(other, PolyNat) else NotImplemented
 
     def __le__(self, other):
         return le(self.coeffs, other.coeffs) if isinstance(other, PolyNat) else NotImplemented
-
-    def __add__(self, other):
-        return PolyNat(add(self.coeffs, other.coeffs)) if isinstance(other, PolyNat) else NotImplemented
-
-    def __mul__(self, other):
-        return PolyNat(mul(self.coeffs, other.coeffs)) if isinstance(other, PolyNat) else NotImplemented
-
-    def __str__(self):
-        return show(self.coeffs)
-
-    def to_json(self) -> list[str]:
-        return to_json(self.coeffs)
-
-    @classmethod
-    def from_json(cls, arr: Iterable[str]) -> "PolyNat":
-        return cls(from_json(arr))
-
-
-ZERO = PolyNat()
-ONE = PolyNat((1,))
-X = PolyNat((0, 1))

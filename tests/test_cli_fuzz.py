@@ -17,10 +17,12 @@ reason a well-formed witness keeps its k, i and kprime at most 12: a
 verify's cost grows with them, within bounds set by the witness size.
 
 Out of scope: cost in a code's *width*.  The length of a handle is bounded
-by ``MAX_LEN``, but appending onto a code of some 100k digits still runs
-for minutes through the unreduced recoding; that is a known defect,
-listed among the open items of ROADMAP.md, and the other naturals stay at
-40 digits.
+by ``MAX_LEN``, but its width is not.  In process, ``append --len 8 --x 1``
+onto the 120,412-digit ``pair(5, 2**200000)`` took 44 s on a 2-vCPU Intel
+Xeon under CPython 3.11.7: 12 s in ``seq_append`` and 27 s printing the
+8,669,779-digit result (onto ``pair(5, 2**40000)``, 3.6 s).  A width
+bound is ROADMAP item 4 and a faster printer item 14; until then the
+other naturals stay at 40 digits.
 """
 
 import contextlib

@@ -244,6 +244,29 @@ def test_no_builtin_division_is_wide_on_both_sides(monkeypatch):
         assert len(calls) > 10 and max(calls) <= _DIV_LEAF + 1
 
 
+@pytest.mark.parametrize("limbs", [4, 16, 64])
+def test_the_digit_split_recurses_logarithmically_deep(limbs, monkeypatch):
+    # a dividend of `limbs` base-2**n digits is split in halves, so the
+    # recursion through _divmod is O(log limbs) deep; one pass per digit
+    # would be `limbs` deep, correct but quadratic in them
+    real, depth, deepest = _decimal._divmod, [0], [0]
+
+    def spy(a, b):
+        depth[0] += 1
+        deepest[0] = max(deepest[0], depth[0])
+        try:
+            return real(a, b)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_decimal, "_divmod", spy)
+    n = 2 * _DIV_LEAF + 7
+    rng = random.Random(limbs)
+    a, b = rng.getrandbits(limbs * n) | 1 << limbs * n - 1, rng.getrandbits(n) | 1 << n - 1
+    assert _decimal._divmod(a, b) == divmod(a, b)
+    assert deepest[0] <= math.log2(limbs) + 2
+
+
 @pytest.mark.parametrize("off", [1, -1])
 def test_an_off_by_one_division_fails_its_check(off, monkeypatch):
     real = _decimal._div2n1n
