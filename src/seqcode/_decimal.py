@@ -12,12 +12,16 @@ q, r = divmod(n >> w, 5**w),
 and that low half is below 10**w.  Only the powers of five are computed,
 per call.  Decimal strings are the only wire format for naturals here: no
 precision is ever lost, and only plain ASCII digits are accepted.
+``_Naturals`` is that format for a record: a string per field, in declaration order.
 
 Every wide division here, the square root's and the residue reader's too,
 is ``_divmod``: Burnikel and Ziegler's recursive division (MPI-I-98-1-022,
 1998).  The builtin divmod uses it for wide operands from CPython 3.12 on,
 but is schoolbook, quadratic, on 3.10 and 3.11; one code path serves all.
 """
+
+import json
+from dataclasses import fields
 
 _PIECE = 640  # sys.int_info.str_digits_check_threshold
 _DIV_LEAF = 4000  # divisor or quotient widths for one builtin divmod: 2,000-4,000 timed alike
@@ -130,3 +134,21 @@ def _natural(n: int, what: str) -> int:
     if n < 0:
         raise ValueError(f"{what} must be nonnegative, got {decimal_str(n)}")
     return n
+
+
+class _Naturals:
+    """Fields checked by _natural; str() is the wire form at any size, where repr() may raise."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            _natural(getattr(self, f.name), f.name)
+
+    def to_json(self) -> dict[str, str]:
+        return {f.name: decimal_str(getattr(self, f.name)) for f in fields(self)}
+
+    def __str__(self) -> str:
+        return json.dumps(self.to_json(), separators=(",", ":"))
+
+    @classmethod
+    def from_json(cls, obj: dict):
+        return cls(*(parse_decimal(obj[f.name]) for f in fields(cls)))

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from seqcode._decimal import _divmod, _natural, decimal_str, parse_decimal
+from seqcode._decimal import _divmod, _natural, _Naturals, decimal_str
 from seqcode.witness import _carries, _contract, _levels, _recode, _residues, lcm_upto
 
 
@@ -119,7 +119,7 @@ def beta_total(w: int, i: int) -> int:
 
 
 @dataclass(frozen=True)
-class SeqHandle:
+class SeqHandle(_Naturals):
     """A coded sequence: entry count plus the packed code.
 
     The length lives outside the code; codes are not self-delimiting.
@@ -127,17 +127,6 @@ class SeqHandle:
 
     len: int
     w: int
-
-    def __post_init__(self):
-        _natural(self.len, "len")
-        _natural(self.w, "w")
-
-    def to_json(self) -> dict[str, str]:
-        return {"len": decimal_str(self.len), "w": decimal_str(self.w)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "SeqHandle":
-        return cls(parse_decimal(obj["len"]), parse_decimal(obj["w"]))
 
 
 def seq_empty() -> SeqHandle:

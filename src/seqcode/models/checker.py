@@ -17,6 +17,7 @@ import itertools
 import json
 import operator
 import random
+import sys
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, Optional
 
@@ -211,8 +212,9 @@ def run_axiom(model: Model, ax: _axioms.Axiom,
     boxed = itertools.product(_exhaustive_box(model, arity), repeat=arity)
     # lazily: one draw per variable, x then y then z, from one stream on one generator
     draws = iter(model.draws(random.Random(budget.seed)))  # zip must share one iterator
+    # islice takes no stop past sys.maxsize, and no run draws that many
     sampled = itertools.islice(zip(*[draws] * arity) if arity else itertools.repeat(()),
-                               budget.samples)
+                               min(budget.samples, sys.maxsize))
     tested = 0  # an empty box with no samples tests nothing
     for tested, args in enumerate(itertools.chain(boxed, sampled), 1):
         if not holds(model, args):

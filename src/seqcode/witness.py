@@ -14,12 +14,11 @@ touches.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
-from seqcode._decimal import _divmod, _natural, decimal_str, parse_decimal
+from seqcode._decimal import _divmod, _natural, _Naturals, decimal_str
 
 
 class DomainError(ValueError):
@@ -51,26 +50,13 @@ def divisor_product(k: int, v: int) -> int:
     return math.prod(1 + t * v for t in range(1, k + 1))
 
 
-class _Witness:
-    """The one wire form: the type tag, then every field, a natural, in declaration order."""
+class _Witness(_Naturals):
+    """The record's wire form with the witness's type tag first."""
 
     tag: ClassVar[str]
 
-    def __post_init__(self):
-        for f in fields(self):
-            _natural(getattr(self, f.name), f.name)
-
     def to_json(self) -> dict[str, str]:
-        values = {f.name: decimal_str(getattr(self, f.name)) for f in fields(self)}
-        return {"type": self.tag, **values}
-
-    def __str__(self) -> str:
-        # the wire form, any size: repr() of an int past the int-str cap raises
-        return json.dumps(self.to_json(), separators=(",", ":"))
-
-    @classmethod
-    def from_json(cls, obj: dict):
-        return cls(*(parse_decimal(obj[f.name]) for f in fields(cls)))
+        return {"type": self.tag, **super().to_json()}
 
 
 @dataclass(frozen=True)

@@ -1,54 +1,79 @@
-"""Integer polynomials in one indeterminate X, just enough to run +/* formulas on them.
+"""Integer polynomials in named indeterminates, just enough to run +/* formulas on them.
 
-A formula written with + and * over ints, evaluated at X, yields a polynomial;
-an equality of two such polynomials is an identity that holds at every
-integer substituted for X.  Exact division by an int (``//``) and evaluation
-at a rational point are there for formulas that divide by a standard integer
-and for divisibility tests by Gauss's lemma.
+A formula written with + and * over ints, evaluated at indeterminates, yields
+a polynomial; an equality of two such polynomials is an identity that holds
+at every integer substituted for each indeterminate, and, when every
+coefficient on both sides is natural, in every commutative semiring.  Exact
+division by an int (``//``) and evaluation at a rational point, for
+polynomials in one indeterminate, are there for formulas that divide by a
+standard integer and for divisibility tests by Gauss's lemma.
 """
 
 
+def _times(a, b):
+    # the product of two monomials, each a sorted tuple of (name, exponent) pairs
+    powers = dict(a)
+    for name, e in b:
+        powers[name] = powers.get(name, 0) + e
+    return tuple(sorted(powers.items()))
+
+
 class IntPoly:
-    """Coefficients lowest degree first, no trailing zeros; ints coerce to constants."""
+    """Nonzero int coefficients by monomial, () for the constant one; ints coerce to constants.
 
-    __slots__ = ("coeffs",)
+    ``IntPoly(coeffs, name)`` is the polynomial in the one indeterminate name
+    (X by default) with those coefficients, lowest degree first.
+    """
 
-    def __init__(self, coeffs=()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+    __slots__ = ("terms",)
+
+    def __init__(self, coeffs=(), name="X"):
+        self.terms = {((name, d),) if d else (): c for d, c in enumerate(coeffs) if c}
+
+    @staticmethod
+    def of(terms):
+        poly = IntPoly()
+        poly.terms = {m: c for m, c in terms.items() if c}
+        return poly
 
     @staticmethod
     def lift(other):
         return other if isinstance(other, IntPoly) else IntPoly((other,))
 
     def __add__(self, other):
-        a, b = self.coeffs, IntPoly.lift(other).coeffs
-        n = max(len(a), len(b))
-        return IntPoly((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
+        terms = dict(self.terms)
+        for m, c in IntPoly.lift(other).terms.items():
+            terms[m] = terms.get(m, 0) + c
+        return IntPoly.of(terms)
 
     def __mul__(self, other):
-        a, b = self.coeffs, IntPoly.lift(other).coeffs
-        out = [0] * (len(a) + len(b))
-        for i, x in enumerate(a):
-            for j, y in enumerate(b, i):
-                out[j] += x * y
-        return IntPoly(out)
+        terms = {}
+        for a, x in self.terms.items():
+            for b, y in IntPoly.lift(other).terms.items():
+                m = _times(a, b)
+                terms[m] = terms.get(m, 0) + x * y
+        return IntPoly.of(terms)
 
     def __neg__(self):
-        return IntPoly(-c for c in self.coeffs)
+        return IntPoly.of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + -IntPoly.lift(other)
 
     def __floordiv__(self, n):
         # exact division by a nonzero int, coefficient by coefficient
-        assert all(c % n == 0 for c in self.coeffs), f"{n} does not divide {self}"
-        return IntPoly(c // n for c in self.coeffs)
+        assert all(c % n == 0 for c in self.terms.values()), f"{n} does not divide {self}"
+        return IntPoly.of({m: c // n for m, c in self.terms.items()})
+
+    @property
+    def coeffs(self):
+        """Coefficients lowest degree first, for a polynomial in at most one indeterminate."""
+        assert len({name for m in self.terms for name, _ in m}) <= 1, f"{self} is multivariate"
+        by_degree = {m[0][1] if m else 0: c for m, c in self.terms.items()}
+        return tuple(by_degree.get(d, 0) for d in range(max(by_degree, default=-1) + 1))
 
     def __call__(self, x):
-        """The value at x (an int or a Fraction), by Horner's rule."""
+        """The value at x (an int or a Fraction), by Horner's rule, in one indeterminate."""
         value = 0
         for c in reversed(self.coeffs):
             value = value * x + c
@@ -56,16 +81,21 @@ class IntPoly:
 
     def in_zx_plus(self):
         """True iff self lies in Z[X]+: zero, or a positive leading coefficient."""
-        return not self.coeffs or self.coeffs[-1] > 0
+        coeffs = self.coeffs
+        return not coeffs or coeffs[-1] > 0
+
+    def has_natural_coefficients(self):
+        """True iff every coefficient is natural, so that self lies in N[...]."""
+        return all(c > 0 for c in self.terms.values())
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return self.coeffs == IntPoly.lift(other).coeffs
+        return self.terms == IntPoly.lift(other).terms
 
     def __repr__(self):
-        return f"IntPoly({self.coeffs!r})"
+        return f"IntPoly({self.terms!r})"
 
 
 X = IntPoly((0, 1))

@@ -1,7 +1,9 @@
 """Pairing, entry readers, and the append-only sequence contract."""
 
+import dataclasses
 import hashlib
 import itertools
+import json
 import math
 import random
 
@@ -27,7 +29,13 @@ from seqcode.codec import (
     unpair,
     verify_seq_step,
 )
-from seqcode.witness import lcm_upto
+from seqcode.witness import (
+    RecodeWitness,
+    factor_inverse,
+    lcm_upto,
+    product_inverse,
+    recode_extend,
+)
 
 
 def brute_force_codes(limit: int) -> set[int]:
@@ -604,16 +612,36 @@ def test_normalize_matches_total_reader():
 # ---------------------------------------------------------------- handles
 
 
-def test_handle_json_roundtrip():
-    h = SeqHandle(3, 2**100)
-    blob = h.to_json()
-    assert blob == {"len": "3", "w": str(2**100)}
-    assert SeqHandle.from_json(blob) == h
+RECORDS = {
+    "handle": lambda: SeqHandle(3, 2**100),
+    # 22.8k digits, past the default int-str cap: str() once fell back on repr() and raised
+    "handle-k24": lambda: seq_build([2**64 - 1] * 24),
+    "factor-inverse": lambda: factor_inverse(2, 7, 3),
+    "product-inverse": lambda: product_inverse(3, 12, 5),
+    "recode": lambda: RecodeWitness(68, 6, 60, 9, 2, recode_extend(68, 6, 60, 9, 2)),
+}
 
 
-def test_handle_json_rejects_negative():
-    with pytest.raises(ValueError):
-        SeqHandle.from_json({"len": "-1", "w": "0"})
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_share_one_wire_form(name):
+    # handles and witnesses: a decimal string per field in declaration order,
+    # the type tag first on a witness, and str() is that form at any size
+    record = RECORDS[name]()
+    cls, names = type(record), [f.name for f in dataclasses.fields(record)]
+    blob = record.to_json()
+    tag = ["type"] if isinstance(record, witness._Witness) else []
+    assert list(blob) == tag + names
+    assert [blob[n] for n in names] == [decimal_str(getattr(record, n)) for n in names]
+    assert cls.from_json(json.loads(str(record))) == record
+    for field in names:
+        with pytest.raises(KeyError):
+            cls.from_json({k: v for k, v in blob.items() if k != field})
+        with pytest.raises(TypeError):
+            cls.from_json({**blob, field: 7})
+        with pytest.raises(ValueError):
+            cls.from_json({**blob, field: "-1"})
+        with pytest.raises(TypeError):
+            dataclasses.replace(record, **{field: True})
 
 
 def test_handle_rejects_negative_fields():

@@ -328,12 +328,15 @@ def test_samplers_draw_what_randrange_draws(seed):
 
 def test_a_finite_iterable_of_draws_is_one_stream():
     # x and y come from one iterator over the list, and the sampled phase ends with it
+    # a budget past sys.maxsize, which islice refuses as a stop, ends with it too
     model = dataclasses.replace(NAT, name="listed", box=(), draws=lambda rng: [1, 2, 3, 4, 5])
     seen = []
     statement = ax.Axiom("RECORD", 2, "records its assignments", (),
                          lambda m, a: seen.append(a) is None)
-    assert run_axiom(model, statement, SampleBudget(samples=9, seed=0)).samples == 2
-    assert seen == [(1, 2), (3, 4)]
+    for samples in (9, 2**64):
+        seen.clear()
+        assert run_axiom(model, statement, SampleBudget(samples=samples, seed=0)).samples == 2
+        assert seen == [(1, 2), (3, 4)]
 
 
 def test_a_per_draw_sampler_is_no_longer_a_model_field():

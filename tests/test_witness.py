@@ -169,6 +169,22 @@ def test_factor_inverse_identity_holds_in_the_polynomial_semiring():
             assert (1 + kprime * v) * pprime == 1 + (1 + i * v) * qprime
 
 
+def test_factor_inverse_identity_holds_for_every_kprime_i_and_z():
+    # k' = k + 1 and i = k' + 1 + d give every k' >= 1 and i >= k' + 1 as k and d
+    # range over the naturals.  With k, d and z indeterminates the identity holds
+    # in N[k, d, z], so in every commutative semiring: for nonstandard k', i and z
+    # of any model of PA-, where such k and d exist, as for standard ones
+    k, d, z = (IntPoly((0, 1), name) for name in "kdz")
+    kprime = k + 1
+    i = kprime + 1 + d
+    pprime, qprime = witness._factor_pair(kprime, i, z)
+    v = z * (i - kprime)
+    assert all(poly.has_natural_coefficients() for poly in (pprime, qprime, v))
+    assert (1 + kprime * v) * pprime == 1 + (1 + i * v) * qprime
+    # the check can fail: one extra z term in p' breaks the identity
+    assert (1 + kprime * v) * (pprime + z) != 1 + (1 + i * v) * qprime
+
+
 def test_factor_witness_verify_rejects_tampering():
     w = factor_inverse(2, 5, 1)
     assert w.verify()
