@@ -612,6 +612,18 @@ def test_normalize_matches_total_reader():
 # ---------------------------------------------------------------- handles
 
 
+def test_handle_json_roundtrip():
+    h = SeqHandle(3, 2**100)
+    blob = h.to_json()
+    assert blob == {"len": "3", "w": str(2**100)}
+    assert SeqHandle.from_json(blob) == h
+
+
+def test_handle_json_rejects_negative():
+    with pytest.raises(ValueError):
+        SeqHandle.from_json({"len": "-1", "w": "0"})
+
+
 RECORDS = {
     "handle": lambda: SeqHandle(3, 2**100),
     # 22.8k digits, past the default int-str cap: str() once fell back on repr() and raised
