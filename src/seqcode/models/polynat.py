@@ -15,10 +15,9 @@ would force a constant coefficient with z0 + 1 = 0.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
-from seqcode._decimal import _natural, decimal_str, parse_decimal
+from seqcode._decimal import decimal_str, parse_decimal
 
 
 def add(a: tuple, b: tuple) -> tuple:
@@ -94,21 +93,5 @@ def show(cs: tuple) -> str:
     return " + ".join(terms)
 
 
-@dataclass(frozen=True, slots=True)
 class PolyNat:
-    """A checked coefficient tuple, ordered by ``le``; > and >= reach < and <= by reflection.
-
-    Only the benchmark tracer uses it, counting calls of ``PolyNat.__lt__``;
-    the class goes with that counter (ROADMAP items 2 and 13).
-    """
-
-    coeffs: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", canonical(_natural(c, "coefficients") for c in self.coeffs))
-
-    def __lt__(self, other):
-        return not le(other.coeffs, self.coeffs) if isinstance(other, PolyNat) else NotImplemented
-
-    def __le__(self, other):
-        return le(self.coeffs, other.coeffs) if isinstance(other, PolyNat) else NotImplemented
+    """A bare name: only ``benchmarks/tracing.py`` imports it, until ROADMAP item 2."""

@@ -4,9 +4,10 @@ A formula written with + and * over ints, evaluated at indeterminates, yields
 a polynomial; an equality of two such polynomials is an identity that holds
 at every integer substituted for each indeterminate, and, when every
 coefficient on both sides is natural, in every commutative semiring.  Exact
-division by an int (``//``) and evaluation at a rational point, for
-polynomials in one indeterminate, are there for formulas that divide by a
-standard integer and for divisibility tests by Gauss's lemma.
+division by an int (``//``), and, for polynomials in one indeterminate,
+evaluation at a rational point and the quotient by a divisor with constant
+coefficient 1, are there for formulas that divide by a standard integer
+and for divisibility tests, by Gauss's lemma or by exact division.
 """
 
 
@@ -64,6 +65,23 @@ class IntPoly:
         # exact division by a nonzero int, coefficient by coefficient
         assert all(c % n == 0 for c in self.terms.values()), f"{n} does not divide {self}"
         return IntPoly.of({m: c // n for m, c in self.terms.items()})
+
+    def quotient(self, divisor):
+        """The q with q * divisor == self, or None: one indeterminate, divisor's constant coefficient 1.
+
+        Long division from the lowest degree up, exact over the ints
+        because the divisor's constant coefficient is 1.
+        """
+        names = {name for poly in (self, divisor) for m in poly.terms for name, _ in m}
+        assert len(names) <= 1, f"{self} and {divisor} are not in one indeterminate"
+        d = divisor.coeffs
+        assert d[:1] == (1,), f"{divisor} has no constant coefficient 1"
+        rest, q = list(self.coeffs), []
+        for j in range(len(rest) - len(d) + 1):
+            q.append(rest[j])
+            for i, c in enumerate(d, j):
+                rest[i] -= q[j] * c
+        return None if any(rest) else IntPoly(q, *names)
 
     @property
     def coeffs(self):

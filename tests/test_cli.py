@@ -127,42 +127,55 @@ def test_a_failed_self_check_exits_1(argv, monkeypatch, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("multiple", [lambda step: max(step // 2, 1), lambda step: 2 * step],
-                         ids=["half-step", "double-step"])
-def test_a_build_off_the_closed_form_base_exits_1(multiple, monkeypatch, capsys):
-    # a faulty base rule: half the step is not divisible by 1..k, and twice it
-    # recodes validly onto a base that is not the specified one; the build's
-    # one base check names the base either way, an internal fault, not bad input
+def _off_by(multiple):
+    # the rebase rule onto a faulty step multiple(step) in place of the step
     def rebase(v, step, x):
         m = multiple(step)
         return ((max(v, x, 1) + m - 1) // m) * m
+    return rebase
 
-    monkeypatch.setattr(codec, "_rebase", rebase)
-    with pytest.raises(RuntimeError, match="^build base [0-9]+ is not the least multiple"):
-        codec.seq_build(range(1, 9))
-    assert cli.main(["encode", *map(str, range(1, 9))]) == 1
+
+def _without_x(v, step, x):
+    # the rebase rule with x dropped from max(v, x, 1): a base that may lie below x
+    return ((max(v, 1) + step - 1) // step) * step
+
+
+# faulty base rules: half the step is not divisible by 1..k; twice it recodes
+# validly onto a base that is not the specified one; and without x the base
+# stays a multiple of lcm(1..n) below a large entry, so only the base check's
+# top <= v arm can fire
+OFF_BASE_RULES = {"half-step": _off_by(lambda step: max(step // 2, 1)),
+                  "double-step": _off_by(lambda step: 2 * step),
+                  "drop-x": _without_x}
+
+
+@pytest.mark.parametrize("rule, entries", [("half-step", range(1, 9)), ("double-step", range(1, 9)),
+                                           ("drop-x", range(1000, 1008))],  # above lcm(1..8) = 840
+                         ids=["half-step", "double-step", "drop-x"])
+def test_a_build_off_the_closed_form_base_exits_1(rule, entries, monkeypatch, capsys):
+    # the build's one base check names the base, an internal fault, not bad input
+    monkeypatch.setattr(codec, "_rebase", OFF_BASE_RULES[rule])
+    with pytest.raises(RuntimeError, match=f"^build base [0-9]+ is not the least multiple "
+                                           fr"of lcm\(1..8\) at least {max(entries)}$"):
+        codec.seq_build(entries)
+    assert cli.main(["encode", *map(str, entries)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: build base ")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-@pytest.mark.parametrize("multiple", [lambda step: max(step // 2, 1), lambda step: 2 * step],
-                         ids=["half-step", "double-step"])
-def test_an_append_off_the_closed_form_base_exits_1(multiple, monkeypatch, capsys):
-    # the same faulty base rules on an append: half the step is not divisible
-    # by 1..9, and twice it recodes validly onto a base that is not the
-    # specified one; the append's one base check names the base either way
-    h = codec.seq_build(range(1, 9))
-
-    def rebase(v, step, x):
-        m = multiple(step)
-        return ((max(v, x, 1) + m - 1) // m) * m
-
-    monkeypatch.setattr(codec, "_rebase", rebase)
-    with pytest.raises(RuntimeError, match=r"^append base [0-9]+ is not the least multiple of lcm\(1..9\)"):
-        codec.seq_append(h, 9)
-    assert cli.main(["append", "--len", "8", "--w", decimal_str(h.w), "--x", "9"]) == 1
+@pytest.mark.parametrize("rule, x", [("half-step", 9), ("double-step", 9),
+                                     ("drop-x", 3000)],  # above lcm(1..9) = 2520
+                         ids=["half-step", "double-step", "drop-x"])
+def test_an_append_off_the_closed_form_base_exits_1(rule, x, monkeypatch, capsys):
+    # the same faulty base rules on an append: its one base check names the base
+    h = codec.seq_build(range(1, 9))  # its base is lcm(1..8) = 840
+    monkeypatch.setattr(codec, "_rebase", OFF_BASE_RULES[rule])
+    with pytest.raises(RuntimeError, match=f"^append base [0-9]+ is not the least multiple "
+                                           fr"of lcm\(1..9\) at least {max(840, x)}$"):
+        codec.seq_append(h, x)
+    assert cli.main(["append", "--len", "8", "--w", decimal_str(h.w), "--x", str(x)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: append base ")

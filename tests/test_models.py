@@ -538,6 +538,32 @@ def test_automorphism_rejects_a_map_that_is_no_involution():
     assert report.samples == 54
 
 
+def _automorphism_clauses(f, x, y):
+    # AUTOMORPHISM's clauses on the naturals, in its order
+    return [f(x + y) == f(x) + f(y), f(x * y) == f(x) * f(y), f(f(x)) == x,
+            f(x + 1) == f(x) + 1, f(0) == 0, f(1) == 1]
+
+
+def _six_to_seven(n):
+    return 7 if n == 6 else n
+
+
+@pytest.mark.parametrize("clause, box, f, pair", [
+    (0, (3,), _six_to_seven, (3, 3)),  # f(3 + 3) = 7, while f(3 * 3) = 9
+    (1, (2, 3), _six_to_seven, (2, 3)),  # f(2 * 3) = 7, while (2, 2) holds
+    (2, (2,), lambda n: {2: 0, 3: 1, 4: 0}.get(n, n), (2, 2)),  # f(f(2)) = 0
+    (3, (2,), lambda n: 5 if n == 3 else n, (2, 2)),  # f(2 + 1) = 5
+], ids=["add", "mul", "involution", "successor"])
+def test_automorphism_exits_at_each_clause(clause, box, f, pair):
+    # the box's first failing assignment fails this clause and no other, so
+    # the run exits at its `and`, and would report another pair without it
+    report = run_axiom(dataclasses.replace(NAT, box=box, automorphism=f), ax.AUTOMORPHISM)
+    assert report.verdict == "counterexample"
+    assert report.counterexample == {"x": str(pair[0]), "y": str(pair[1])}
+    clauses = _automorphism_clauses(f, *pair)
+    assert [i for i, holds in enumerate(clauses) if not holds] == [clause]
+
+
 def test_swap_is_an_involution_on_the_box():
     for x in QEXT.box:
         assert qext_swap(qext_swap(x)) == x

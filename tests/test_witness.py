@@ -485,6 +485,44 @@ def test_recode_level_loop_runs_in_the_nonstandard_model_zx_plus():
             assert difference.in_zx_plus()
 
 
+RECODE_PROVED_UP_TO = 13  # every length up to here recodes in about 0.7 s in all
+
+
+def _recode_holds_in_every_model(k):
+    # the recode of indeterminate targets r_1..r_{k+1} at v' = lcm(1..k)*z is
+    # A = sum of r_t*C_t(z); with m_s = 1 + s*v', it carries r_s to position s
+    # for every z and every target below m_s, in every model of PA-, once each
+    # C_t - [s = t] is m_s*Q with Q in N[z]: then A = r_s + m_s*(sum of r_t*Q)
+    z = IntPoly((0, 1), "z")
+    vprime = lcm_upto(k) * z
+    uprime = witness._recode([IntPoly((0, 1), f"r{t}") for t in range(1, k + 2)], vprime)
+    coeff = {t: {} for t in range(1, k + 2)}
+    for monomial, c in uprime.terms.items():
+        (target, degree), *zs = sorted(monomial, key=lambda power: power[0] == "z")
+        assert target != "z" and degree == 1 and all(name == "z" for name, _ in zs), monomial
+        coeff[int(target[1:])][tuple(zs)] = c
+    for s in range(1, k + 2):
+        for t, terms in coeff.items():
+            q = (IntPoly.of(terms) - int(s == t)).quotient(1 + s * vprime)
+            if q is None or not q.has_natural_coefficients():
+                return False
+    return True
+
+
+def test_the_recode_holds_in_every_model_at_each_standard_length():
+    # a proof per length, k + 1 <= RECODE_PROVED_UP_TO + 1 targets; a
+    # nonstandard length rests on the paper's own argument
+    for k in range(RECODE_PROVED_UP_TO + 1):
+        assert _recode_holds_in_every_model(k), k
+
+
+def test_the_recode_proof_rejects_a_wrong_inverse(monkeypatch):
+    real = witness._pprime
+    monkeypatch.setattr(witness, "_pprime", lambda kprime, i, z: real(kprime, i, z) + z)
+    assert _recode_holds_in_every_model(0)  # one target: no inverse is read
+    assert not any(_recode_holds_in_every_model(k) for k in range(1, 4))
+
+
 # ---------------------------------------------------------------- the residue reader
 
 
