@@ -4,11 +4,13 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
+from profiled import profiled  # tests/profiled.py
 
 from seqcode import _decimal, cli, codec, witness
 from seqcode._decimal import decimal_str
@@ -86,25 +88,17 @@ def test_wire_format_is_pinned(capsys):
     assert capsys.readouterr().out == '{"len":"3","w":"5056582949723315928","verified":true}\n'
 
 
-def test_append_checks_its_step_once(monkeypatch, capsys):
+def test_append_checks_its_step_once(capsys):
     # seq_append's checked recode is the one contract check: one square root
     # (the old code's split) and two residue families (old entries, new code)
     h = codec.seq_build([2**64 - 1 - i for i in range(8)])
     expected = codec.seq_append(h, 99).to_json()
-    roots, families = [], []
-    real_isqrt, real_residues = codec.isqrt, witness._residues
-    monkeypatch.setattr(codec, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
-
-    def counted(*args):
-        families.append(args)
-        return real_residues(*args)
-
-    monkeypatch.setattr(witness, "_residues", counted)
-    monkeypatch.setattr(codec, "_residues", counted)  # codec imports it by name
-    assert cli.main(["append", "--len", "8", "--w", decimal_str(h.w), "--x", "99", "--json"]) == 0
+    argv = ["append", "--len", "8", "--w", decimal_str(h.w), "--x", "99", "--json"]
+    status, calls = profiled(cli.main, argv)
+    assert status == 0
     assert json.loads(capsys.readouterr().out) == {**expected, "verified": True}
-    assert len(roots) == 1
-    assert len(families) == 2
+    assert calls[math.isqrt] == 1
+    assert calls[witness._residues] == 2
 
 
 @pytest.mark.parametrize("argv", [
@@ -489,18 +483,16 @@ def test_check_axioms_qext():
     (["--include-derived", "--include-subtraction"], "LE_ANTISYM"),
 ])
 @pytest.mark.parametrize("as_json", [[], ["--json"]])
-def test_check_axioms_qext_rejects_statements_that_need_an_order(flags, axiom, as_json,
-                                                               monkeypatch, capsys):
+def test_check_axioms_qext_rejects_statements_that_need_an_order(flags, axiom, as_json, capsys):
     # qext has no order, so these statements cannot be evaluated on it; every
     # statement is checked against the model before any is run
-    calls = []
-    real = checker.run_axiom
-    monkeypatch.setattr(checker, "run_axiom", lambda *a: calls.append(a) or real(*a))
-    assert cli.main(["check-axioms", "--model", "qext", "--samples", "5", *flags, *as_json]) == 2
+    argv = ["check-axioms", "--model", "qext", "--samples", "5", *flags, *as_json]
+    status, calls = profiled(cli.main, argv)
+    assert status == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"error: axiom {axiom} needs an order, but model qext has none\n"
-    assert calls == []
+    assert calls[checker.run_axiom] == 0
 
 
 def test_check_axioms_deterministic_output():

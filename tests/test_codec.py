@@ -10,6 +10,7 @@ import random
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from profiled import profiled  # tests/profiled.py
 
 from seqcode import codec, witness
 from seqcode._decimal import decimal_str
@@ -293,14 +294,12 @@ def test_verify_seq_step_fixed_values():
     assert not verify_seq_step(0, 0, 7, 0)  # position 0 of code 0 reads 0, not 7
 
 
-def test_verify_seq_step_splits_each_code_once(monkeypatch):
+def test_verify_seq_step_splits_each_code_once():
     h = seq_build(range(1, 9))
     nxt = seq_append(h, 99)
-    calls = []
-    real_isqrt = codec.isqrt
-    monkeypatch.setattr(codec, "isqrt", lambda n: calls.append(n) or real_isqrt(n))
-    assert verify_seq_step(h.w, h.len, 99, nxt.w)
-    assert len(calls) == 2  # one square root per code, not one per position
+    verdict, calls = profiled(verify_seq_step, h.w, h.len, 99, nxt.w)
+    assert verdict
+    assert calls[math.isqrt] == 2  # one square root per code, not one per position
 
 
 def test_verify_seq_step_validates_the_entry():
@@ -419,17 +418,14 @@ def test_build_splits_no_code_and_checks_once_at_the_last_base(monkeypatch):
     assert [k for k in range(8) if bases[k + 1] == bases[k]] == [5]  # the base holds once
     # a step from k entries runs level k alone where the base holds, else levels 1..k
     levels = sum(1 if bases[k + 1] == bases[k] else k for k in range(8))
-    roots, checks, level_runs = [], [], []
-    real_isqrt, real_carries, real_inverse = codec.isqrt, witness._carries, witness._inverse
-    monkeypatch.setattr(codec, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
+    checks, real_carries = [], witness._carries
     monkeypatch.setattr(witness, "_carries",
                         lambda u, vp, res: checks.append((vp, list(res))) or real_carries(u, vp, res))
-    monkeypatch.setattr(witness, "_inverse", lambda *a: level_runs.append(a) or real_inverse(*a))
-    h = seq_build(xs)
-    assert roots == []  # the steps carry (u, v), so no code is unpaired
+    h, calls = profiled(seq_build, xs)
+    assert calls[math.isqrt] == 0  # the steps carry (u, v), so no code is unpaired
     # one full-contract check, of the result at the last base against every entry
     assert checks == [(bases[8], xs)]
-    assert len(level_runs) == levels == 24  # one _inverse per level run
+    assert calls[witness._inverse] == levels == 24  # one _inverse per level run
     assert seq_decode(h) == xs
     checks.clear()
     assert seq_build([]) == seq_empty() and checks == []

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from intpoly import IntPoly, X  # tests/intpoly.py
+from profiled import profiled  # tests/profiled.py
 
 from seqcode import codec, witness
 from seqcode._decimal import decimal_str
@@ -556,18 +557,17 @@ def test_each_step_check_reads_two_residue_families(monkeypatch):
     h = seq_build(range(1, 9))
     nxt = seq_append(h, 99)
     (u, v), (uprime, vprime) = unpair(h.w), unpair(nxt.w)
-    families, roots = [], []
-    real_residues, real_isqrt = witness._residues, codec.isqrt
+    families, real_residues = [], witness._residues
 
     def counting(u, v, k):
         families.append(k)
         return real_residues(u, v, k)
 
     monkeypatch.setattr(witness, "_residues", counting)
-    monkeypatch.setattr(codec, "_residues", counting)
-    monkeypatch.setattr(codec, "isqrt", lambda n: roots.append(n) or real_isqrt(n))
-    assert verify_seq_step(h.w, h.len, 99, nxt.w)
-    assert families == [8, 9] and len(roots) == 2  # the old entries, then the new code
+    monkeypatch.setattr(codec, "_residues", counting)  # codec imports it by name
+    verdict, calls = profiled(verify_seq_step, h.w, h.len, 99, nxt.w)
+    assert verdict
+    assert families == [8, 9] and calls[math.isqrt] == 2  # the old entries, then the new code
     families.clear()
     assert RecodeWitness(u, v, vprime, 99, 8, uprime).verify()
     assert families == [8, 9]

@@ -1,24 +1,27 @@
-"""Line-coverage gate over src/seqcode/, stdlib only.
+"""Line-coverage gate over src/seqcode/, stdlib only, on CPython 3.12+.
 
-Runs the Tier-1 suite in this process under a ``sys.settrace`` line tracer
-and exits 1, listing ``file:line``, when a line of ``src/seqcode/`` never ran
-or when a test failed.  The tracer follows only frames whose code lies under
-``src/seqcode/``, so pytest and hypothesis run untraced, and it keys lines by
-full path.  It sees this process and its threads only, so the one exempt code
-is what only ``python -m seqcode`` subprocesses run: ``__main__.py`` and the
-body of ``if __name__ == "__main__":``.  Run it from the repository root:
+Runs the Tier-1 suite in this process under ``sys.monitoring`` (PEP 669) and
+exits 1, listing ``file:line``, when a line of ``src/seqcode/`` never ran or
+when a test failed.  It holds the tool id ``COVERAGE_ID``: the first call of
+each code object under ``src/seqcode/`` turns on that code's ``LINE`` events,
+and every event reports once and is then disabled, so pytest and hypothesis
+run unobserved and each line costs one callback.  Monitoring sees every
+thread of this process, so the one exempt code is what only ``python -m
+seqcode`` subprocesses run: ``__main__.py`` and the body of ``if __name__ ==
+"__main__":``.  Run it from the repository root:
 
-    PYTHONPATH=src python tools/linecov.py
+    PYTHONPATH=src python3.13 tools/linecov.py
 
-Hypothesis runs at seed 0, so a run repeats exactly.
+Hypothesis runs at seed 0, so a run repeats exactly.  Below 3.12 there is no
+``sys.monitoring``, and the gate exits 2.
 """
 
 from __future__ import annotations
 
 import ast
 import dis
+import platform
 import sys
-import threading
 import types
 from pathlib import Path
 
@@ -43,31 +46,33 @@ def executable_lines(path: Path) -> set[int]:
 
 
 def main() -> int:
+    if not hasattr(sys, "monitoring"):
+        print(f"error: the line gate needs sys.monitoring (CPython 3.12+), "
+              f"not Python {platform.python_version()}", file=sys.stderr)
+        return 2
     import pytest
 
+    monitoring, tool = sys.monitoring, sys.monitoring.COVERAGE_ID
     ran: set[tuple[Path, int]] = set()
-    paths: dict[str, Path | None] = {}  # co_filename -> its path if under SRC, else None
 
-    def lines(frame, event, arg):
-        if event == "line":
-            ran.add((paths[frame.f_code.co_filename], frame.f_lineno))
-        return lines
+    def on_start(code, offset):
+        if Path(code.co_filename).resolve().is_relative_to(SRC):
+            monitoring.set_local_events(tool, code, monitoring.events.LINE)
+        return monitoring.DISABLE
 
-    def calls(frame, event, arg):
-        # the global tracer runs once per new frame; only frames of SRC get a line tracer
-        name = frame.f_code.co_filename
-        if name not in paths:
-            path = Path(name).resolve()
-            paths[name] = path if path.is_relative_to(SRC) else None
-        return lines if paths[name] else None
+    def on_line(code, line):
+        ran.add((Path(code.co_filename).resolve(), line))
+        return monitoring.DISABLE
 
-    threading.settrace(calls)
-    sys.settrace(calls)
+    monitoring.use_tool_id(tool, "linecov")
+    monitoring.register_callback(tool, monitoring.events.PY_START, on_start)
+    monitoring.register_callback(tool, monitoring.events.LINE, on_line)
+    monitoring.set_events(tool, monitoring.events.PY_START)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"])
     finally:
-        sys.settrace(None)
-        threading.settrace(None)
+        monitoring.set_events(tool, 0)
+        monitoring.free_tool_id(tool)
     missing = [f"{path.relative_to(ROOT)}:{line}"
                for path in sorted(SRC.rglob("*.py")) if path.name not in EXEMPT_FILES
                for line in sorted(executable_lines(path)) if (path, line) not in ran]
